@@ -15,10 +15,10 @@
 //           structure_changed = false. The Lagrangian solver replays its
 //           cached λ trajectory and rescans only the dirty group while the
 //           multipliers stay in sync — the RM's steady-state cycle shape.
-//   skip  — persistent workspace, instance unchanged: the fingerprint
-//           matches and the cached result is replayed without solving
-//           (dirty-tracked group caching upstream makes this the common case
-//           for an idle steady-state machine).
+//   skip  — an AllocationSession cycle with the same app ids and no group
+//           rebuilt: the session proves nothing changed by an O(apps) id
+//           compare and returns the previous result without calling the
+//           solver (the common case for an idle steady-state machine).
 //
 // Emits BENCH_allocator_scale.json (schema: EXPERIMENTS.md "Benchmark JSON
 // schema"). `--quick` shrinks the sweep for the `bench`-labelled ctest entry
@@ -37,6 +37,7 @@
 #include "bench/bench_json.hpp"
 #include "src/common/parallel_for.hpp"
 #include "src/common/rng.hpp"
+#include "src/harp/allocation_session.hpp"
 #include "src/harp/allocator.hpp"
 #include "src/platform/hardware.hpp"
 
@@ -136,7 +137,7 @@ CellResult measure_full(const core::Allocator& allocator,
   CellResult cell;
   double best = -1.0;
   for (int cycle = 0; cycle < cycles; ++cycle) {
-    groups[0].costs[0] += 1e-9;  // dirty fingerprint: full solve, no alloc
+    groups[0].costs[0] += 1e-9;  // structural path: a full solve, no alloc
     auto t0 = std::chrono::steady_clock::now();
     allocator.solve(ptrs, ws, result);
     double elapsed = seconds_since(t0);
@@ -175,20 +176,27 @@ CellResult measure_warm(const core::Allocator& allocator,
   return cell;
 }
 
+/// One session cycle over every group: begin, add each app, solve, end.
+bool session_cycle(core::AllocationSession& session, const core::Allocator& allocator,
+                   const std::vector<core::AllocationGroup>& groups, bool rebuilt) {
+  session.begin(groups.size(), 0.0);
+  for (std::size_t g = 0; g < groups.size(); ++g) session.add(g, groups[g], rebuilt);
+  bool solved = session.solve(allocator);
+  session.end();
+  return solved;
+}
+
 CellResult measure_skip(const core::Allocator& allocator,
-                        std::vector<core::AllocationGroup>& groups, int cycles) {
-  std::vector<const core::AllocationGroup*> ptrs;
-  ptrs.reserve(groups.size());
-  for (const core::AllocationGroup& group : groups) ptrs.push_back(&group);
-  core::SolveWorkspace ws;
-  core::AllocationResult result;
-  allocator.solve(ptrs, ws, result);  // prime the replay cache
+                        const std::vector<core::AllocationGroup>& groups, int cycles) {
+  core::AllocationSession session("rm", nullptr, nullptr);
+  session_cycle(session, allocator, groups, /*rebuilt=*/true);  // the one real solve
   CellResult cell;
-  // Replays are sub-microsecond: time the whole batch, not single calls.
+  // No-change cycles are microseconds: time the whole batch, not single calls.
   auto t0 = std::chrono::steady_clock::now();
-  for (int cycle = 0; cycle < cycles; ++cycle) allocator.solve(ptrs, ws, result);
+  for (int cycle = 0; cycle < cycles; ++cycle)
+    if (session_cycle(session, allocator, groups, /*rebuilt=*/false)) std::abort();
   cell.seconds_per_cycle = seconds_since(t0) / cycles;
-  cell.feasible = result.feasible;
+  cell.feasible = session.result().feasible;
   return cell;
 }
 
@@ -258,8 +266,7 @@ int main(int argc, char** argv) {
       if (pool != nullptr) allocator.set_parallelism(pool.get());
       // Few reps on big instances (each cold cycle is slow), more on small.
       const int cycles = std::max(3, 512 / point.apps);
-      // Replays deep-copy the cached result (O(n) selections + core lists):
-      // scale the batch down where a single replay is no longer trivial.
+      // A no-change cycle is O(apps): scale the batch down at the big points.
       const int skip_cycles = (quick ? 1000 : 10000) / (point.apps >= 4096 ? 10 : 1);
       CellResult cold = measure_cold(allocator, groups, cycles);
       CellResult full = measure_full(allocator, prepared, cycles);

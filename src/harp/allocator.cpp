@@ -2,7 +2,7 @@
 // std::vector/std::string construction inside loops in this file. All solver
 // scratch lives in SolveWorkspace so steady-state solves are allocation-free.
 //
-// Beyond the warm-start/replay machinery, this file carries the two scaling
+// Beyond the warm-started workspace, this file carries the two scaling
 // paths of the solver core (DESIGN.md "Hot path & incrementality"):
 //  - the dirty-subset incremental Lagrangian path, which replays the cached
 //    λ trajectory and rescans only changed groups while λ stays in sync, and
@@ -36,15 +36,6 @@ std::vector<int> total_usage(const std::vector<AllocationGroup>& groups,
   }
   return usage;
 }
-
-/// One FNV-1a-style mixing step over a 64-bit word (word-wise rather than
-/// byte-wise: one multiply per int keeps fingerprinting cheap relative to
-/// the solve it may replace).
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t word) {
-  return (h ^ word) * 1099511628211ull;
-}
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
 
 // ---------------------------------------------------------------------------
 // Vectorised argmin kernel
@@ -150,8 +141,8 @@ AllocationResult Allocator::solve(const std::vector<AllocationGroup>& groups) co
   std::vector<const AllocationGroup*> ptrs;
   ptrs.reserve(groups.size());
   for (const AllocationGroup& g : groups) ptrs.push_back(&g);
-  // A fresh workspace has no cached result, so this always runs a full solve
-  // — the cold overload's behaviour is independent of any caller history.
+  // A fresh workspace holds no clean-group state, so this always runs a full
+  // solve — the cold overload's behaviour is independent of caller history.
   SolveWorkspace ws;
   AllocationResult result;
   solve(ptrs, ws, result);
@@ -228,26 +219,6 @@ void Allocator::bind(const std::vector<const AllocationGroup*>& groups,
     ws.cost_rows_[i] = dst;
     cost_offset += group.candidates.size();
   }
-}
-
-std::uint64_t Allocator::group_fingerprint(const SolveWorkspace& ws, std::size_t g) const {
-  const std::size_t num_types = capacity_.size();
-  const std::size_t num_candidates = ws.group_size_[g];
-  std::uint64_t h = kFnvBasis;
-  h = fnv_mix(h, static_cast<std::uint64_t>(num_candidates));
-  const int* rows = ws.rows_[g];
-  const std::size_t row_ints = num_candidates * num_types;
-  for (std::size_t i = 0; i < row_ints; ++i)
-    h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(rows[i])));
-  // Effective costs, so QoS-row changes (rates, weight, target) invalidate
-  // the replay cache; identical to raw ζ for non-QoS groups.
-  const double* costs = ws.cost_rows_[g];
-  for (std::size_t c = 0; c < num_candidates; ++c) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &costs[c], sizeof(bits));
-    h = fnv_mix(h, bits);
-  }
-  return h;
 }
 
 void Allocator::refresh_vectorized(SolveWorkspace& ws, bool all,
@@ -348,67 +319,31 @@ void Allocator::solve(const std::vector<const AllocationGroup*>& groups,
   if (tracer_ != nullptr)
     tracer_->begin(telemetry::EventType::kMmkpSolve, "rm",
                    {{"groups", static_cast<double>(groups.size())}});
-  bind(groups, ws);
   const std::size_t num_groups = groups.size();
 
-  // Shape fingerprint: group count, per-group candidate counts, type count.
-  // Clean-state reuse (per-group fingerprints, vectorised blocks, the λ
-  // trajectory) additionally requires the caller's no-structure-change
-  // promise — a same-shape instance with reordered groups must not reuse.
+  // Shape guard: type count, group count, per-group candidate counts.
+  // Clean-state reuse (vectorised blocks, the λ trajectory) additionally
+  // requires the caller's no-structure-change promise — a same-shape
+  // instance with reordered groups must not reuse. The recorded shape is
+  // void until this instance's is complete, so a bind() that throws forces
+  // the next solve to run in full.
+  bool same_shape = ws.shapes_ready_ && ws.num_types_ == static_cast<int>(capacity_.size()) &&
+                    ws.group_size_.size() == num_groups;
+  ws.shapes_ready_ = false;
+  bind(groups, ws);
   ws.group_size_.resize(num_groups);
-  std::uint64_t shape = kFnvBasis;
-  shape = fnv_mix(shape, static_cast<std::uint64_t>(num_groups));
-  shape = fnv_mix(shape, static_cast<std::uint64_t>(capacity_.size()));
   for (std::size_t g = 0; g < num_groups; ++g) {
-    ws.group_size_[g] = groups[g]->candidates.size();
-    shape = fnv_mix(shape, static_cast<std::uint64_t>(ws.group_size_[g]));
+    const std::size_t size = groups[g]->candidates.size();
+    same_shape = same_shape && ws.group_size_[g] == size;
+    ws.group_size_[g] = size;
   }
-  const bool reuse_clean = !structure_changed && ws.shapes_ready_ && shape == ws.shape_fp_;
-  ws.shape_fp_ = shape;
   ws.shapes_ready_ = true;
-
-  // Per-group fingerprints: recompute dirty groups only when clean state is
-  // reusable, everything otherwise. The instance fingerprint mixes the
-  // per-group values in order, so it equals the previous cycle's exactly
-  // when every group (and the capacity vector) is bitwise unchanged.
-  ws.group_fp_.resize(num_groups);
-  if (reuse_clean) {
+  const bool reuse_clean = !structure_changed && same_shape;
+  if (reuse_clean)
     for (std::size_t i = 0; i < dirty.size(); ++i) {
       HARP_CHECK_MSG(dirty[i] < num_groups, "dirty index out of range");
       HARP_CHECK_MSG(i == 0 || dirty[i] > dirty[i - 1], "dirty list not ascending-unique");
-      ws.group_fp_[dirty[i]] = group_fingerprint(ws, dirty[i]);
     }
-  } else {
-    for (std::size_t g = 0; g < num_groups; ++g) ws.group_fp_[g] = group_fingerprint(ws, g);
-  }
-  std::uint64_t fingerprint = kFnvBasis;
-  fingerprint = fnv_mix(fingerprint, static_cast<std::uint64_t>(num_groups));
-  for (int cap : capacity_) fingerprint = fnv_mix(fingerprint, static_cast<std::uint64_t>(cap));
-  for (std::size_t g = 0; g < num_groups; ++g) fingerprint = fnv_mix(fingerprint, ws.group_fp_[g]);
-
-  if (ws.has_cached_ && fingerprint == ws.fingerprint_) {
-    // Byte-identical instance (same rows, costs, capacity): the solvers are
-    // deterministic pure functions of the bound instance, so the cached
-    // result is exactly what a full solve would produce. A spuriously-dirty
-    // solve (dirty listed, nothing actually changed) lands here too.
-    out = ws.cached_;
-    ws.replayed_ = true;
-    ++ws.replays_;
-    ws.last_mode_ = SolveMode::kReplay;
-    ws.last_rescanned_groups_ = 0;
-    ws.last_sync_iters_ = 0;
-    if (tracer_ != nullptr) {
-      if (out.feasible)
-        tracer_->end(telemetry::EventType::kMmkpSolve, "rm",
-                     {{"feasible", 1.0}, {"total_cost", out.total_cost}, {"replayed", 1.0}});
-      else
-        tracer_->end(telemetry::EventType::kMmkpSolve, "rm",
-                     {{"feasible", 0.0}, {"replayed", 1.0}});
-    }
-    return;
-  }
-  ws.replayed_ = false;
-  ++ws.full_solves_;
 
   // Incremental λ-trajectory replay needs clean-state reuse, a valid cached
   // trajectory, and the Lagrangian solver (greedy/exhaustive have no
@@ -440,9 +375,6 @@ void Allocator::solve(const std::vector<const AllocationGroup*>& groups,
     out.total_cost = 0.0;
     out.feasible = false;
     out.allocations.clear();
-    ws.cached_ = out;
-    ws.fingerprint_ = fingerprint;
-    ws.has_cached_ = true;
     if (tracer_ != nullptr)
       tracer_->end(telemetry::EventType::kMmkpSolve, "rm",
                    {{"feasible", 0.0}, {"incremental", incremental ? 1.0 : 0.0}});
@@ -477,9 +409,6 @@ void Allocator::solve(const std::vector<const AllocationGroup*>& groups,
       platform::assign_cores_into(hw_, ws.demand_ptrs_, ws.next_free_scratch_, out.allocations);
   HARP_CHECK_MSG(assigned.ok(), "feasible selection failed concrete assignment");
 
-  ws.cached_ = out;
-  ws.fingerprint_ = fingerprint;
-  ws.has_cached_ = true;
   if (tracer_ != nullptr)
     tracer_->end(telemetry::EventType::kMmkpSolve, "rm",
                  {{"feasible", 1.0},

@@ -13,12 +13,12 @@
 //
 // The solver runs in the RM's periodic decision cycle, so it has a hot-path
 // entry point: solve(groups, workspace, out) reuses a SolveWorkspace across
-// cycles — flat candidate×core-type usage rows, scratch buffers, and a
-// fingerprint of the previous instance that lets a byte-identical cycle
-// replay the cached result without solving at all. The warm path is
+// cycles — flat candidate×core-type usage rows, scratch buffers, and the λ
+// trajectory a dirty-subset re-solve follows. The warm path is
 // result-neutral: it returns bit-identical selections to the cold
 // one-shot solve(groups) overload (see DESIGN.md "Hot path &
-// incrementality").
+// incrementality"). Deciding that nothing changed at all is the caller's
+// job (AllocationSession), which knows the app ids and rebuilt groups.
 #pragma once
 
 #include <cstdint>
@@ -95,35 +95,28 @@ enum class SolverKind { kLagrangian, kGreedy, kExhaustive };
 enum class SolveMode {
   kFull,         ///< every group scanned in every λ iteration
   kIncremental,  ///< dirty-subset solve against the cached λ trajectory
-  kReplay,       ///< byte-identical instance: cached result returned verbatim
 };
 
 /// Reusable per-caller solver state. Holding one of these across RM cycles
 /// buys three things: (1) every scratch vector the solvers need is allocated
-/// once and reused, making steady-state solves heap-allocation-free; (2) a
-/// fingerprint of the last solved instance lets a byte-identical cycle
-/// replay the cached AllocationResult without running a solver; (3) the last
-/// λ multipliers survive for diagnostics. A workspace belongs to one
+/// once and reused, making steady-state solves heap-allocation-free; (2) the
+/// clean-group state of the last instance (vectorised rows, λ trajectory)
+/// lets a dirty-subset re-solve rescan only what changed; (3) the last λ
+/// multipliers survive for diagnostics. A workspace belongs to one
 /// (Allocator, call site) pair — sharing it between allocators with
-/// different hardware or solver kinds would replay results across
-/// incompatible instances; invalidate() when retargeting.
+/// different hardware or solver kinds would reuse state across incompatible
+/// instances; invalidate() when retargeting.
 class SolveWorkspace {
  public:
   SolveWorkspace() = default;
 
-  /// True iff the most recent solve() replayed the cached result instead of
-  /// running a solver (instance fingerprint matched the previous cycle).
-  bool replayed() const { return replayed_; }
-  std::uint64_t full_solves() const { return full_solves_; }
-  std::uint64_t replays() const { return replays_; }
-
   /// How the most recent solve() ran (kIncremental only on the dirty-subset
-  /// Lagrangian path; greedy/exhaustive solves are always kFull or kReplay).
+  /// Lagrangian path; greedy/exhaustive solves are always kFull).
   SolveMode last_mode() const { return last_mode_; }
   /// Incremental (dirty-subset) solves since construction.
   std::uint64_t incremental_solves() const { return incremental_solves_; }
   /// Groups rescanned by the most recent solve: the dirty count on the
-  /// incremental path, the full group count on a full solve, 0 on a replay.
+  /// incremental path, the full group count on a full solve.
   std::size_t last_rescanned_groups() const { return last_rescanned_groups_; }
   /// λ iterations of the most recent solve that were served from the cached
   /// trajectory (clean-group argmins reused; only dirty groups rescanned).
@@ -134,11 +127,10 @@ class SolveWorkspace {
   /// workspace history.
   const std::vector<double>& multipliers() const { return lambda_; }
 
-  /// Drop the cached result, the λ-trajectory cache, and the per-group
-  /// fingerprints so the next solve() runs in full. Needed only when
-  /// re-using one workspace against a different Allocator.
+  /// Drop the λ-trajectory cache and the clean-group state so the next
+  /// solve() runs in full. Needed only when re-using one workspace against a
+  /// different Allocator.
   void invalidate() {
-    has_cached_ = false;
     traj_valid_ = false;
     shapes_ready_ = false;
     sorted_valid_ = false;
@@ -171,19 +163,12 @@ class SolveWorkspace {
   std::vector<const platform::ExtendedResourceVector*> demand_ptrs_;
   std::vector<int> next_free_scratch_;
 
-  // Replay cache: last instance fingerprint and its full result.
-  std::uint64_t fingerprint_ = 0;
-  bool has_cached_ = false;
-  AllocationResult cached_;
-
-  // Shape metadata of the last bound instance: group count, per-group
-  // candidate counts, num_types. When the shape is unchanged and the caller
-  // declares only a dirty subset changed, per-group fingerprints and the
-  // vectorised row blocks of clean groups are reused instead of rebuilt.
-  std::uint64_t shape_fp_ = 0;
+  // Shape of the last bound instance: type count (num_types_), group count
+  // and per-group candidate counts. When the shape is unchanged and the
+  // caller declares only a dirty subset changed, the vectorised row blocks
+  // of clean groups are reused instead of rebuilt.
   bool shapes_ready_ = false;
   std::vector<std::size_t> group_size_;    ///< candidates per group
-  std::vector<std::uint64_t> group_fp_;    ///< per-group rows+costs fingerprint
 
   // Vectorised scan kernel state (Lagrangian): per-group transposed
   // (type-major) usage rows as doubles, so the per-candidate relaxed-cost
@@ -249,9 +234,6 @@ class SolveWorkspace {
   std::vector<int> over_scratch_;          ///< per-type overflow of the current selection
   std::vector<double> greedy_min_cost_;    ///< per-group cheapest candidate cost
 
-  bool replayed_ = false;
-  std::uint64_t full_solves_ = 0;
-  std::uint64_t replays_ = 0;
   SolveMode last_mode_ = SolveMode::kFull;
   std::uint64_t incremental_solves_ = 0;
   std::size_t last_rescanned_groups_ = 0;
@@ -272,8 +254,7 @@ class Allocator {
   AllocationResult solve(const std::vector<AllocationGroup>& groups) const;
 
   /// Hot-path entry point: identical results to the cold overload, but
-  /// reuses `ws` buffers (steady-state calls perform no heap allocation) and
-  /// replays the cached result when the instance fingerprint is unchanged.
+  /// reuses `ws` buffers (steady-state calls perform no heap allocation).
   /// Groups are taken by pointer because callers cache them inside
   /// per-client records. Equivalent to the dirty-aware overload below with
   /// structure_changed = true (no incremental reuse).
@@ -288,7 +269,7 @@ class Allocator {
   ///    changed in any way is listed in `dirty` (ascending, no duplicates).
   /// Groups not listed dirty must be bitwise unchanged. Under that contract
   /// the result is bit-identical to a cold solve of the current instance:
-  /// clean-group work (fingerprints, vectorised rows, and — for the
+  /// clean-group work (vectorised rows and — for the
   /// Lagrangian solver — per-iteration argmin picks while λ follows the
   /// cached trajectory) is reused, dirty groups are re-scanned, and any λ
   /// divergence falls back to full scans. An over-approximate dirty set
@@ -312,12 +293,6 @@ class Allocator {
   /// their own rows; others are materialised into ws.row_storage_) and
   /// effective cost rows (soft-QoS slack penalties applied).
   void bind(const std::vector<const AllocationGroup*>& groups, SolveWorkspace& ws) const;
-  /// FNV-1a-style fingerprint of one bound group (candidate count, usage
-  /// rows, effective-cost bit patterns). Instance-pure: app names do not
-  /// participate. The per-instance fingerprint mixes these in group order
-  /// with the capacity vector; on dirty-subset solves only dirty groups'
-  /// fingerprints are recomputed.
-  std::uint64_t group_fingerprint(const SolveWorkspace& ws, std::size_t g) const;
 
   /// Rebuild the transposed double-precision row blocks the vectorised scan
   /// kernel reads. `all` rebuilds every group; otherwise only `dirty` groups

@@ -27,13 +27,10 @@ struct HarpPolicy::ManagedApp {
   MaturityStage last_stage = MaturityStage::kInitial;
   int last_phase = 0;  ///< last reported execution stage (phase awareness)
 
-  /// Dirty-tracked choice group: rebuilt (surrogate fit + Pareto filter +
-  /// usage rows) only when the backing table mutated or the table key
-  /// switched (phase awareness) since the cached build.
-  AllocationGroup group;
-  std::uint64_t group_version = 0;
-  std::string group_key;
-  bool has_group = false;
+  /// Choice group (surrogate fit + Pareto filter + usage rows), rebuilt only
+  /// when the backing table mutated or the table key switched (phase
+  /// awareness) since the cached build.
+  CachedGroup group;
 
   std::vector<double> cpu_marker;  ///< attribution window start
 };
@@ -54,7 +51,8 @@ const OperatingPointTable& HarpPolicy::table_of(const ManagedApp& app) const {
   return const_cast<HarpPolicy*>(this)->table_of(app);
 }
 
-HarpPolicy::HarpPolicy(HarpOptions options) : options_(std::move(options)) {}
+HarpPolicy::HarpPolicy(HarpOptions options)
+    : options_(std::move(options)), session_("rm", options_.tracer, options_.metrics) {}
 HarpPolicy::~HarpPolicy() = default;
 
 std::string HarpPolicy::name() const {
@@ -69,17 +67,13 @@ void HarpPolicy::attach(sim::RunnerApi& api) {
   explorer_ = std::make_unique<AppExplorer>(api.hardware(), options_.exploration);
   attributor_ = std::make_unique<energy::EnergyAttributor>(api.hardware());
   allocator_ = std::make_unique<Allocator>(api.hardware(), options_.solver, options_.tracer);
+  session_.invalidate();
   unassigned_cores_.assign(api.hardware().core_types.size(), 0);
   next_measurement_time_ = options_.exploration.measurement_interval_s;
   if (options_.metrics != nullptr) {
     reallocs_counter_ = &options_.metrics->counter("rm_reallocs_total");
     measurements_counter_ = &options_.metrics->counter("rm_measurements_total");
     stage_transitions_counter_ = &options_.metrics->counter("rm_stage_transitions_total");
-    group_rebuilds_counter_ = &options_.metrics->counter("rm_group_rebuilds_total");
-    group_cache_hits_counter_ = &options_.metrics->counter("rm_group_cache_hits_total");
-    solve_replays_counter_ = &options_.metrics->counter("rm_solve_replays_total");
-    solve_incremental_counter_ = &options_.metrics->counter("rm_solve_incremental_total");
-    groups_rescanned_counter_ = &options_.metrics->counter("rm_solve_groups_rescanned_total");
   }
 }
 
@@ -417,52 +411,21 @@ void HarpPolicy::reallocate() {
   api_->charge_overhead(options_.realloc_overhead_s);
   ++alloc_cycles_;
   if (reallocs_counter_ != nullptr) reallocs_counter_->inc();
-  telemetry::Tracer* tracer = options_.tracer;
-  if (tracer != nullptr)
-    tracer->begin(telemetry::EventType::kAllocCycle, "rm",
-                  {{"apps", static_cast<double>(managed_.size())},
-                   {"cycle", static_cast<double>(alloc_cycles_)}});
 
   const platform::HardwareDescription& hw = api_->hardware();
   const int num_types = static_cast<int>(hw.core_types.size());
-  std::vector<sim::AppId> ids;
-  group_ptrs_.clear();
-  dirty_scratch_.clear();
+  session_.begin(managed_.size(), static_cast<double>(alloc_cycles_));
   for (auto& [id, app] : managed_) {
-    ids.push_back(id);
     std::string key = table_key(*app);
-    const OperatingPointTable& table = table_of(*app);
-    if (app->has_group && app->group_key == key && app->group_version == table.version()) {
-      if (group_cache_hits_counter_ != nullptr) group_cache_hits_counter_->inc();
-    } else {
-      app->group = build_group(*app);
-      app->group.prepare(num_types);
-      app->group_version = table.version();
-      app->group_key = std::move(key);
-      app->has_group = true;
-      if (group_rebuilds_counter_ != nullptr) group_rebuilds_counter_->inc();
-      // Rebuilt at position group_ptrs_.size(): this cycle's dirty index
-      // (ascending because managed_ iterates in AppId order).
-      dirty_scratch_.push_back(static_cast<std::uint32_t>(group_ptrs_.size()));
-    }
-    group_ptrs_.push_back(&app->group);
+    bool rebuilt = session_.refresh(app->group, table_of(*app).version(), key, num_types,
+                                    [&] { return build_group(*app); });
+    session_.add(static_cast<std::uint64_t>(id), app->group.group, rebuilt);
   }
-
-  // Dirty-subset solves additionally require the same apps in the same
-  // positions as the previous solve; any arrival/exit changes the AppId
-  // sequence and downgrades to a structural (full) solve.
-  bool same_structure = last_solve_ids_ == ids;
-  last_solve_ids_ = std::move(ids);
-  const std::vector<sim::AppId>& solve_ids = last_solve_ids_;
-
-  allocator_->solve(group_ptrs_, dirty_scratch_, !same_structure, solve_ws_, solve_result_);
-  if (solve_ws_.replayed() && solve_replays_counter_ != nullptr) solve_replays_counter_->inc();
-  if (solve_ws_.last_mode() == SolveMode::kIncremental && solve_incremental_counter_ != nullptr)
-    solve_incremental_counter_->inc();
-  if (groups_rescanned_counter_ != nullptr)
-    groups_rescanned_counter_->inc(
-        static_cast<std::uint64_t>(solve_ws_.last_rescanned_groups()));
-  AllocationResult& result = solve_result_;
+  // On a no-change cycle the session hands back the previous result, which
+  // is re-applied below exactly as a fresh solve of it would be.
+  session_.solve(*allocator_);
+  const AllocationResult& result = session_.result();
+  telemetry::Tracer* tracer = options_.tracer;
   if (!result.feasible) {
     // §4.2.2 Limitations: demand exceeds capacity even at minimum points —
     // relax constraint (1b) and let applications co-allocate under the OS
@@ -473,8 +436,7 @@ void HarpPolicy::reallocate() {
       app->exploration_paused = true;
     }
     push_controls();
-    if (tracer != nullptr)
-      tracer->end(telemetry::EventType::kAllocCycle, "rm", {{"feasible", 0.0}});
+    session_.end();
     return;
   }
   co_allocation_ = false;
@@ -483,20 +445,22 @@ void HarpPolicy::reallocate() {
   unassigned_cores_.assign(hw.core_types.size(), 0);
   for (std::size_t t = 0; t < hw.core_types.size(); ++t)
     unassigned_cores_[t] = hw.core_types[t].core_count;
-  for (std::size_t g = 0; g < group_ptrs_.size(); ++g) {
-    ManagedApp& app = *managed_.at(solve_ids[g]);
-    const AllocationGroup& group = *group_ptrs_[g];
-    const OperatingPoint& point = group.candidates[result.selection[g]];
+  std::size_t g = 0;
+  for (auto& [id, managed] : managed_) {
+    ManagedApp& app = *managed;
+    const AllocationGroup& group = app.group.group;
+    const std::size_t selected = result.selection[g++];
+    const OperatingPoint& point = group.candidates[selected];
     app.mmkp_erv = point.erv;
     for (std::size_t t = 0; t < hw.core_types.size(); ++t)
       unassigned_cores_[t] -= app.mmkp_erv.cores_used(static_cast<int>(t));
     HARP_DEBUG << "t=" << api_->now() << " grant " << app.name << " "
                << point.erv.to_string(hw) << " u=" << point.nfc.utility
-               << " p=" << point.nfc.power_w << " cost=" << group.costs[result.selection[g]]
+               << " p=" << point.nfc.power_w << " cost=" << group.costs[selected]
                << " meas=" << point.measurements << " candidates=" << group.candidates.size();
     if (tracer != nullptr)
       tracer->instant(telemetry::EventType::kGrant, app.name,
-                      {{"cost", group.costs[result.selection[g]]},
+                      {{"cost", group.costs[selected]},
                        {"cycle", static_cast<double>(alloc_cycles_)},
                        {"measured", static_cast<double>(point.measurements)},
                        {"power_w", point.nfc.power_w},
@@ -527,9 +491,7 @@ void HarpPolicy::reallocate() {
     app->has_active = true;
   }
   push_controls();
-  if (tracer != nullptr)
-    tracer->end(telemetry::EventType::kAllocCycle, "rm",
-                {{"feasible", 1.0}, {"total_cost", result.total_cost}});
+  session_.end();
 }
 
 void HarpPolicy::push_controls() {

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "src/energy/attribution.hpp"
+#include "src/harp/allocation_session.hpp"
 #include "src/harp/allocator.hpp"
 #include "src/harp/exploration.hpp"
 #include "src/harp/operating_point.hpp"
@@ -134,22 +135,10 @@ class HarpPolicy : public sim::Policy {
   telemetry::Counter* reallocs_counter_ = nullptr;
   telemetry::Counter* measurements_counter_ = nullptr;
   telemetry::Counter* stage_transitions_counter_ = nullptr;
-  telemetry::Counter* group_rebuilds_counter_ = nullptr;
-  telemetry::Counter* group_cache_hits_counter_ = nullptr;
-  telemetry::Counter* solve_replays_counter_ = nullptr;
-  telemetry::Counter* solve_incremental_counter_ = nullptr;
-  telemetry::Counter* groups_rescanned_counter_ = nullptr;
 
-  /// Hot-path state reused across allocation cycles (solver replay cache,
-  /// scratch buffers, cached-group pointer vector).
-  SolveWorkspace solve_ws_;
-  AllocationResult solve_result_;
-  std::vector<const AllocationGroup*> group_ptrs_;
-  /// AppIds (in group order) of the last solved instance — positional
-  /// equality is the structural-sameness certificate for dirty-subset
-  /// solves — plus the ascending rebuilt-group indices of this cycle.
-  std::vector<sim::AppId> last_solve_ids_;
-  std::vector<std::uint32_t> dirty_scratch_;
+  /// The decision cycle (group cache check, solve or no-change, solver
+  /// counters, alloc_cycle span), keyed by AppId.
+  AllocationSession session_;
 
   // Capacity left unassigned by the last MMKP solve, per core type.
   std::vector<int> unassigned_cores_;

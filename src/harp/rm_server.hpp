@@ -13,7 +13,12 @@
 // clients with work instead of issuing one recv(2) per connected client.
 // In-process channels participate through ready hooks that set a per-client
 // atomic flag and nudge the loop's wakeup pipe. If event-loop construction
-// fails (fd exhaustion) the server degrades to the legacy scan-all cycle.
+// fails (fd exhaustion), listen() reports it and the server takes no socket
+// clients.
+//
+// Every reallocation runs through an AllocationSession
+// (allocation_session.hpp): the same decision cycle HarpPolicy and the shard
+// coordinator run, keyed by app_id.
 //
 // For multi-RM scale-out the server also exposes a sharding surface
 // (export_groups / push_activation / set_core_budget): a ShardedRmServer
@@ -36,6 +41,7 @@
 #include <vector>
 
 #include "src/common/mutex.hpp"
+#include "src/harp/allocation_session.hpp"
 #include "src/harp/allocator.hpp"
 #include "src/harp/operating_point.hpp"
 #include "src/ipc/event_loop.hpp"
@@ -55,10 +61,6 @@ struct RmServerOptions {
   /// Consecutive malformed ("proto:") frames tolerated per client before the
   /// connection is cut; a valid frame resets the count.
   int max_malformed_frames = 8;
-  /// Readiness-driven I/O (the default). Off = the legacy scan-all cycle
-  /// that polls every client channel every cycle; kept for comparison
-  /// benches and as the degraded mode when fds run out.
-  bool use_event_loop = true;
   /// When true, poll() never runs the MMKP itself: it drains I/O and leaves
   /// the realloc flag set for an external coordinator that solves globally
   /// via export_groups() / push_activation() (ShardedRmServer with
@@ -93,6 +95,7 @@ struct ExportedGroup {
   std::uint64_t admission = 0;   ///< global adoption order (the merge key)
   std::size_t client_index = 0;  ///< index into the owning server
   const AllocationGroup* group = nullptr;
+  bool rebuilt = false;          ///< rebuilt since the previous export
 };
 
 class RmServer {
@@ -102,7 +105,8 @@ class RmServer {
   RmServer(const RmServer&) = delete;
   RmServer& operator=(const RmServer&) = delete;
 
-  /// Bind the registration socket (Fig. 3 step 1).
+  /// Bind the registration socket (Fig. 3 step 1). Fails when the socket
+  /// cannot be bound or the readiness loop could not be created.
   Status listen(const std::string& socket_path);
 
   /// Adopt an already connected channel (in-process transport).
@@ -116,20 +120,21 @@ class RmServer {
   /// `now_seconds` is the caller's clock (monotonic); drives utility polls.
   void poll(double now_seconds);
 
-  /// Blocking variant for dedicated shard threads: waits up to `timeout_ms`
-  /// (-1 = indefinitely) for readiness before running the cycle. Without an
-  /// event loop the timeout is ignored and the call degenerates to poll().
-  /// Returns immediately when wakeup() or readiness arrives.
+  /// Blocking variant for dedicated threads (harpd, shard threads): waits up
+  /// to `timeout_ms` (-1 = indefinitely) for readiness before running the
+  /// cycle. Returns immediately when wakeup() or readiness arrives.
   void poll(double now_seconds, int timeout_ms);
 
   /// Nudge a poll(now, timeout) blocked on the event loop (cross-thread
-  /// adoption, shutdown). No-op without an event loop. Thread-safe.
+  /// adoption, shutdown). Thread-safe.
   void wakeup();
 
   // Sharding surface (used by ShardedRmServer; see rm_shard.hpp). ------
 
   /// Export the choice groups of all registered clients in adoption order,
-  /// refreshing dirty group caches. See ExportedGroup for lifetime rules.
+  /// refreshing stale group caches. `rebuilt` is relative to the previous
+  /// export, so only the coordinator that solves the groups may call this.
+  /// See ExportedGroup for lifetime rules.
   void export_groups(std::vector<ExportedGroup>& out);
 
   /// Consume the needs-reallocation flag (set by registrations, point
@@ -179,9 +184,6 @@ class RmServer {
   /// Clients evicted for lease expiry since construction.
   std::uint64_t lease_evictions() const;
 
-  /// The readiness backend actually in use; nullopt in legacy scan mode.
-  std::optional<ipc::EventLoop::Backend> loop_backend() const;
-
  private:
   struct Client;
 
@@ -196,18 +198,18 @@ class RmServer {
   void drop_client(std::size_t index) HARP_REQUIRES(mutex_);
   void reallocate() HARP_REQUIRES(mutex_);
   /// Returns true when the group was rebuilt (operating-point table changed
-  /// since the cached build) — the reallocation cycle's dirty signal.
+  /// since the cached build) — the session's `rebuilt` flag.
   bool refresh_group_locked(Client& client) HARP_REQUIRES(mutex_);
   void send_activation_locked(Client& client, const OperatingPoint& point,
                               const platform::CoreAllocation& cores, double cost)
       HARP_REQUIRES(mutex_);
   void send_coallocation_locked(Client& client) HARP_REQUIRES(mutex_);
-  AllocationGroup build_group(const Client& client) const HARP_REQUIRES(mutex_);
 
-  /// Readiness loop; created at construction, immutable after (null = legacy
-  /// scan mode). Shared so in-process ready hooks can hold a weak_ptr for
-  /// their wakeup nudge without dangling after destruction. Declared before
-  /// clients_ so it outlives every hook-owning channel during teardown.
+  /// Readiness loop; created at construction, immutable after (invalid when
+  /// fds ran out, which listen() reports). Shared so in-process ready hooks
+  /// can hold a weak_ptr for their wakeup nudge without dangling after
+  /// destruction. Declared before clients_ so it outlives every hook-owning
+  /// channel during teardown.
   std::shared_ptr<ipc::EventLoop> loop_;  // harp-lint: allow(all immutable after construction)
   /// wait() output, reused across cycles; touched only by the poll thread.
   std::vector<ipc::EventLoop::Ready> ready_scratch_;  // harp-lint: allow(all poll-thread-only)
@@ -238,25 +240,11 @@ class RmServer {
   double last_utility_poll_ HARP_GUARDED_BY(mutex_) = 0.0;
   std::uint64_t realloc_count_ HARP_GUARDED_BY(mutex_) = 0;
   std::uint64_t lease_evictions_ HARP_GUARDED_BY(mutex_) = 0;
-  /// Hot-path state reused across reallocation cycles: solver workspace
-  /// (replay cache + scratch), last result, and the pointer/scratch vectors
-  /// that would otherwise be rebuilt per cycle.
-  SolveWorkspace solve_ws_ HARP_GUARDED_BY(mutex_);
-  AllocationResult solve_result_ HARP_GUARDED_BY(mutex_);
-  std::vector<const AllocationGroup*> group_ptrs_ HARP_GUARDED_BY(mutex_);
+  /// The decision cycle (group cache check, solve or no-change, solver
+  /// counters, alloc_cycle span), keyed by app_id.
+  AllocationSession session_ HARP_GUARDED_BY(mutex_);
+  /// Registered clients in allocation order, reused across cycles.
   std::vector<Client*> registered_scratch_ HARP_GUARDED_BY(mutex_);
-  /// app_ids granted in the last cycle that actually sent activations; a
-  /// solver replay may skip resending only when this exact set is registered
-  /// again (a new/re-registered client must receive its activation even if
-  /// the solved instance is byte-identical).
-  std::vector<std::int32_t> last_grant_ids_ HARP_GUARDED_BY(mutex_);
-  /// app_ids (in group order) of the last instance actually handed to the
-  /// solver. The dirty-subset contract needs structural sameness — same
-  /// groups, same order — which positional app_id equality certifies; any
-  /// mismatch downgrades the solve to structure_changed.
-  std::vector<std::int32_t> last_solve_ids_ HARP_GUARDED_BY(mutex_);
-  /// Ascending indices of groups rebuilt this cycle (the solver's dirty set).
-  std::vector<std::uint32_t> dirty_scratch_ HARP_GUARDED_BY(mutex_);
   /// Solver worker pool (null when options.solver_workers == 1). Created at
   /// construction, attached to every Allocator this server builds.
   std::unique_ptr<harp::ParallelFor> solve_pool_;  // harp-lint: allow(all immutable after construction)
@@ -266,15 +254,8 @@ class RmServer {
   telemetry::Counter* registrations_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* evictions_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* malformed_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* group_rebuilds_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* group_cache_hits_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* solve_replays_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* solve_incremental_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* groups_rescanned_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* realloc_skips_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* eventloop_cycles_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
   telemetry::Counter* eventloop_ready_counter_ HARP_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Histogram* solve_histogram_ HARP_GUARDED_BY(mutex_) = nullptr;
 };
 
 }  // namespace harp::core

@@ -23,7 +23,8 @@ double steady_now_seconds() {
 ShardedRmServer::ShardedRmServer(platform::HardwareDescription hw, ShardedRmOptions options)
     : hw_(std::move(hw)),
       options_(options),
-      coordinator_allocator_(hw_, options.server.solver, options.server.tracer) {
+      coordinator_allocator_(hw_, options.server.solver, options.server.tracer),
+      session_("coordinator", options.server.tracer, options.server.metrics) {
   HARP_CHECK(options_.num_shards >= 1);
   const int n = options_.num_shards;
   const std::size_t num_types = hw_.core_types.size();
@@ -158,49 +159,29 @@ void ShardedRmServer::coordinate_global_solve() {
   std::sort(merged_.begin(), merged_.end(),
             [](const auto& a, const auto& b) { return a.second.admission < b.second.admission; });
 
-  group_ptrs_.resize(merged_.size());
-  for (std::size_t g = 0; g < merged_.size(); ++g) group_ptrs_[g] = merged_[g].second.group;
-
-  telemetry::Tracer* tracer = options_.server.tracer;
-  if (tracer != nullptr)
-    tracer->begin(telemetry::EventType::kAllocCycle, "coordinator",
-                  {{"apps", static_cast<double>(merged_.size())},
-                   {"shards", static_cast<double>(shards_.size())}});
-
-  coordinator_allocator_.solve(group_ptrs_, coordinator_ws_, coordinator_result_);
   ++coordinator_solves_;
-
-  // Mirror the single server's skip-cycle: a replayed instance over the
-  // exact same admission set means every client already holds this grant.
-  bool same_clients = last_solved_admissions_.size() == merged_.size();
-  for (std::size_t g = 0; same_clients && g < merged_.size(); ++g)
-    if (last_solved_admissions_[g] != merged_[g].second.admission) same_clients = false;
-  if (coordinator_ws_.replayed() && same_clients) {
-    if (tracer != nullptr)
-      tracer->end(telemetry::EventType::kAllocCycle, "coordinator", {{"skipped", 1.0}});
+  session_.begin(merged_.size(), static_cast<double>(coordinator_solves_));
+  for (const auto& [shard, e] : merged_) session_.add(e.admission, *e.group, e.rebuilt);
+  // A no-change cycle: every client already holds the grant it would get.
+  if (!session_.solve(coordinator_allocator_)) {
+    session_.end();
     return;
   }
-  last_solved_admissions_.resize(merged_.size());
-  for (std::size_t g = 0; g < merged_.size(); ++g)
-    last_solved_admissions_[g] = merged_[g].second.admission;
 
-  if (!coordinator_result_.feasible) {
+  const AllocationResult& result = session_.result();
+  if (!result.feasible) {
     for (const auto& [shard, e] : merged_)
       shards_[static_cast<std::size_t>(shard)]->push_coallocation(e.client_index);
-    if (tracer != nullptr)
-      tracer->end(telemetry::EventType::kAllocCycle, "coordinator", {{"feasible", 0.0}});
-    return;
+  } else {
+    for (std::size_t g = 0; g < merged_.size(); ++g) {
+      const auto& [shard, e] = merged_[g];
+      std::size_t selected = result.selection[g];
+      shards_[static_cast<std::size_t>(shard)]->push_activation(
+          e.client_index, e.group->candidates[selected], result.allocations[g],
+          e.group->costs[selected]);
+    }
   }
-  for (std::size_t g = 0; g < merged_.size(); ++g) {
-    const auto& [shard, e] = merged_[g];
-    std::size_t selected = coordinator_result_.selection[g];
-    shards_[static_cast<std::size_t>(shard)]->push_activation(
-        e.client_index, e.group->candidates[selected], coordinator_result_.allocations[g],
-        e.group->costs[selected]);
-  }
-  if (tracer != nullptr)
-    tracer->end(telemetry::EventType::kAllocCycle, "coordinator",
-                {{"feasible", 1.0}, {"total_cost", coordinator_result_.total_cost}});
+  session_.end();
 }
 
 void ShardedRmServer::coordinate_rebalance() {

@@ -11,9 +11,12 @@
 //  - RebalanceMode::kDisabled — shards do I/O only; the coordinator merges
 //    every shard's choice groups in global admission order and runs ONE
 //    MMKP over the full platform, pushing activations back through the
-//    owning shards. By construction this solves the identical instance a
-//    single RmServer would (admission order == a single server's adoption
-//    order, and the instance fingerprint excludes app identity), so
+//    owning shards. It runs the same AllocationSession cycle a single
+//    RmServer runs, keyed by admission number: the shards report which
+//    groups they rebuilt, so unchanged cycles are skipped and resubmissions
+//    solve incrementally. By construction this solves the identical
+//    instance a single RmServer would (admission order == a single server's
+//    adoption order, and the solver never sees app identity), so
 //    allocations are bit-equal to the unsharded server — the property the
 //    200-seed equivalence test pins down.
 //
@@ -102,7 +105,8 @@ class ShardedRmServer {
   std::size_t client_count() const;
   /// Core moves performed since construction (kLambdaDrift).
   std::uint64_t rebalances() const;
-  /// Global MMKP solves performed by the coordinator (kDisabled).
+  /// Global decision cycles run by the coordinator (kDisabled), including
+  /// no-change cycles that skip the solver.
   std::uint64_t coordinator_solves() const;
 
   /// Current budget: owned physical core ids per shard per type
@@ -133,15 +137,12 @@ class ShardedRmServer {
   /// kLambdaDrift: consecutive rounds each core type's λ spread exceeded
   /// the threshold (hysteresis counters, one per type).
   std::vector<int> drift_rounds_ HARP_GUARDED_BY(mutex_);
-  /// Scratch reused across coordination rounds (merge buffers, solver
-  /// workspace/result, admission list mirroring the skip-cycle check).
+  /// The global decision cycle (keyed by admission number) and the merge
+  /// buffers reused across coordination rounds.
   Allocator coordinator_allocator_ HARP_GUARDED_BY(mutex_);
-  SolveWorkspace coordinator_ws_ HARP_GUARDED_BY(mutex_);
-  AllocationResult coordinator_result_ HARP_GUARDED_BY(mutex_);
+  AllocationSession session_ HARP_GUARDED_BY(mutex_);
   std::vector<ExportedGroup> export_scratch_ HARP_GUARDED_BY(mutex_);
   std::vector<std::pair<int, ExportedGroup>> merged_ HARP_GUARDED_BY(mutex_);
-  std::vector<const AllocationGroup*> group_ptrs_ HARP_GUARDED_BY(mutex_);
-  std::vector<std::uint64_t> last_solved_admissions_ HARP_GUARDED_BY(mutex_);
   std::vector<std::vector<double>> lambda_scratch_ HARP_GUARDED_BY(mutex_);
 
   /// Shard threads (kLambdaDrift). stop flag is the only cross-thread

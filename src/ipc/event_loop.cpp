@@ -219,6 +219,23 @@ void EventLoop::wakeup() {
   } while (rc < 0 && errno == EINTR);
 }
 
+void EventLoop::consume_wakeup() {
+  // Drain first, then disarm. A wakeup() landing between the two finds the
+  // flag still armed and writes nothing, but this wait() has not returned
+  // yet, so the caller's post-wait scan sees whatever that wakeup
+  // announced. A wakeup() after the disarm writes a fresh byte, which stays
+  // in the pipe and makes the next wait() return at once. Disarming first
+  // would let the drain swallow a byte written after the disarm, leaving
+  // the flag armed over an empty pipe: every later wakeup() would then be
+  // coalesced away.
+  char buf[64];
+  while (::read(wake_rx_, buf, sizeof(buf)) > 0) {
+  }
+  // acq_rel pairs with wakeup()'s exchange: what a coalesced wakeup
+  // announced is visible to the caller once this wait() returns.
+  (void)wake_armed_.exchange(false, std::memory_order_acq_rel);
+}
+
 Result<int> EventLoop::wait(int timeout_ms, std::vector<Ready>& out) {
   out.clear();
   woke_ = false;
@@ -267,12 +284,7 @@ Result<int> EventLoop::wait(int timeout_ms, std::vector<Ready>& out) {
       std::uint32_t ready = from_epoll_events(events[i].events);
       if (ready != 0) out.push_back(Ready{fd, ready});
     }
-    if (woke_) {
-      wake_armed_.store(false, std::memory_order_release);
-      char buf[64];
-      while (::read(wake_rx_, buf, sizeof(buf)) > 0) {
-      }
-    }
+    if (woke_) consume_wakeup();
     return static_cast<int>(out.size());
   }
 #endif
@@ -331,12 +343,7 @@ Result<int> EventLoop::wait(int timeout_ms, std::vector<Ready>& out) {
     std::uint32_t ready = from_poll_events(p.revents);
     if (ready != 0) out.push_back(Ready{p.fd, ready});
   }
-  if (woke_) {
-    wake_armed_.store(false, std::memory_order_release);
-    char buf[64];
-    while (::read(wake_rx_, buf, sizeof(buf)) > 0) {
-    }
-  }
+  if (woke_) consume_wakeup();
   return static_cast<int>(out.size());
 }
 

@@ -93,6 +93,8 @@ class EventLoop {
 
  private:
   Status add_or_modify(int fd, std::uint32_t events, bool replace_only);
+  /// Drain the wakeup pipe and re-arm wakeup() (wait() saw the pipe ready).
+  void consume_wakeup();
 
   // The mutex below guards only the interest set; everything else is either
   // immutable after construction or owned by the loop's driving thread.

@@ -3,17 +3,18 @@
 //
 //  1. Equivalence — over hundreds of seeded random instances, the workspace
 //     overload returns bit-identical results to the cold one-shot solve for
-//     all three solvers, whether or not groups were prepare()d, and a
-//     byte-identical re-solve replays the cached result exactly.
-//  2. Zero allocation — once warm, steady-state Allocator::solve performs no
-//     heap allocation at all, verified with counting global operator
-//     new/delete overrides.
+//     all three solvers, whether or not groups were prepare()d, and an
+//     unchanged or dirty-subset re-solve on the incremental path does too.
+//  2. Zero allocation — once warm, steady-state Allocator::solve and a
+//     steady-state AllocationSession cycle (solving or not) perform no heap
+//     allocation at all, verified with counting global operator new/delete
+//     overrides.
 //  3. Cross-version pinning — a 200-seed hash of every solver's outputs on
 //     non-QoS instances equals the value recorded before soft-QoS cost rows
 //     were added: groups without a SoftQos row run bit-identical arithmetic
 //     to the pre-QoS solver.
 //  4. QoS equivalence — instances with slack-priced SoftQos rows keep the
-//     cold/warm/replay bit-equivalence, and a row that prices nothing
+//     cold/warm/incremental bit-equivalence, and a row that prices nothing
 //     (all candidates meet min_rate, or slack_weight = 0) leaves the result
 //     bit-identical to the same instance without the row.
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/harp/allocation_session.hpp"
 #include "src/harp/allocator.hpp"
 #include "src/platform/hardware.hpp"
 
@@ -172,6 +174,14 @@ std::vector<const AllocationGroup*> pointers_to(const std::vector<AllocationGrou
   return ptrs;
 }
 
+const std::vector<std::uint32_t> kNoDirty;
+const std::vector<std::uint32_t> kFirstDirty(1, 0);
+
+/// Incremental for the Lagrangian solver; greedy/exhaustive always run full.
+SolveMode expected_dirty_mode(SolverKind kind) {
+  return kind == SolverKind::kLagrangian ? SolveMode::kIncremental : SolveMode::kFull;
+}
+
 void expect_identical(const AllocationResult& actual, const AllocationResult& expected,
                       std::uint64_t seed, const char* what) {
   EXPECT_EQ(actual.feasible, expected.feasible) << what << " seed=" << seed;
@@ -214,16 +224,14 @@ TEST_P(WarmColdEquivalence, MatchesColdSolveOnRandomInstances) {
     SolveWorkspace ws;
     AllocationResult warm;
     allocator.solve(ptrs, ws, warm);
-    EXPECT_FALSE(ws.replayed()) << "seed=" << seed;
+    EXPECT_EQ(ws.last_mode(), SolveMode::kFull) << "seed=" << seed;
     expect_identical(warm, cold, seed, "warm-prepared");
 
-    // Byte-identical re-solve: replayed from the cache, still identical.
-    AllocationResult replayed;
-    allocator.solve(ptrs, ws, replayed);
-    EXPECT_TRUE(ws.replayed()) << "seed=" << seed;
-    expect_identical(replayed, cold, seed, "replay");
-    EXPECT_EQ(ws.full_solves(), 1u) << "seed=" << seed;
-    EXPECT_EQ(ws.replays(), 1u) << "seed=" << seed;
+    // Unchanged re-solve on the incremental path (nothing dirty): identical.
+    AllocationResult unchanged;
+    allocator.solve(ptrs, kNoDirty, /*structure_changed=*/false, ws, unchanged);
+    EXPECT_EQ(ws.last_mode(), expected_dirty_mode(kind)) << "seed=" << seed;
+    expect_identical(unchanged, cold, seed, "unchanged");
 
     // Unprepared groups fall back to workspace-built rows: same result.
     std::vector<const AllocationGroup*> raw_ptrs = pointers_to(groups);
@@ -232,11 +240,11 @@ TEST_P(WarmColdEquivalence, MatchesColdSolveOnRandomInstances) {
     allocator.solve(raw_ptrs, unprepared_ws, unprepared);
     expect_identical(unprepared, cold, seed, "warm-unprepared");
 
-    // A cost perturbation changes the fingerprint: no stale replay.
+    // A cost perturbation listed dirty: the re-solve follows the new instance.
     prepared[0].costs[0] += 0.25;
     AllocationResult nudged;
-    allocator.solve(ptrs, ws, nudged);
-    EXPECT_FALSE(ws.replayed()) << "seed=" << seed;
+    allocator.solve(ptrs, kFirstDirty, /*structure_changed=*/false, ws, nudged);
+    EXPECT_EQ(ws.last_mode(), expected_dirty_mode(kind)) << "seed=" << seed;
     AllocationResult nudged_cold = allocator.solve(prepared);
     expect_identical(nudged, nudged_cold, seed, "nudged");
   }
@@ -348,22 +356,22 @@ TEST_P(QosRowEquivalence, ColdWarmReplayBitIdenticalWithSoftQosRows) {
     SolveWorkspace ws;
     AllocationResult warm;
     allocator.solve(ptrs, ws, warm);
-    EXPECT_FALSE(ws.replayed()) << "seed=" << seed;
+    EXPECT_EQ(ws.last_mode(), SolveMode::kFull) << "seed=" << seed;
     expect_identical(warm, cold, seed, "qos-warm");
 
-    AllocationResult replayed;
-    allocator.solve(ptrs, ws, replayed);
-    EXPECT_TRUE(ws.replayed()) << "seed=" << seed;
-    expect_identical(replayed, cold, seed, "qos-replay");
+    AllocationResult unchanged;
+    allocator.solve(ptrs, kNoDirty, /*structure_changed=*/false, ws, unchanged);
+    EXPECT_EQ(ws.last_mode(), expected_dirty_mode(kind)) << "seed=" << seed;
+    expect_identical(unchanged, cold, seed, "qos-unchanged");
 
     // A min_rate above every candidate's rate re-prices the whole group:
-    // the fingerprint (over *effective* costs) must change — no stale
-    // replay of a differently-priced QoS instance.
+    // listed dirty, its *effective* costs are rebound, so the re-solve
+    // matches a cold solve of the differently-priced QoS instance.
     if (prepared[0].qos.has_value()) {
       prepared[0].qos->min_rate = 2.0;  // rates are in [0, 1]: all penalised
       AllocationResult nudged;
-      allocator.solve(ptrs, ws, nudged);
-      EXPECT_FALSE(ws.replayed()) << "seed=" << seed;
+      allocator.solve(ptrs, kFirstDirty, /*structure_changed=*/false, ws, nudged);
+      EXPECT_EQ(ws.last_mode(), expected_dirty_mode(kind)) << "seed=" << seed;
       AllocationResult nudged_cold = allocator.solve(prepared);
       expect_identical(nudged, nudged_cold, seed, "qos-nudged");
     }
@@ -522,19 +530,22 @@ TEST_P(DirtySubsetEquivalence, MatchesFreshColdSolveOnMutatedInstances) {
     allocator.solve(ptrs, dirty, /*structure_changed=*/false, ws, out);
     expect_identical(out, allocator.solve(groups), seed, "dirty-all");
 
-    // Spuriously dirty (listed but unchanged): the per-group fingerprints
-    // see a byte-identical instance and replay the cached result.
+    // Spuriously dirty (listed but unchanged): the dirty groups are
+    // rescanned, λ follows the cached trajectory, and the bits are the same.
     allocator.solve(ptrs, dirty, /*structure_changed=*/false, ws, out);
-    EXPECT_TRUE(ws.replayed()) << "seed=" << seed;
-    EXPECT_EQ(ws.last_mode(), SolveMode::kReplay) << "seed=" << seed;
+    if (kind == SolverKind::kLagrangian) {
+      EXPECT_EQ(ws.last_mode(), SolveMode::kIncremental) << "seed=" << seed;
+      EXPECT_EQ(ws.last_rescanned_groups(), n) << "seed=" << seed;
+      EXPECT_GE(ws.last_sync_iterations(), 1) << "seed=" << seed;
+    }
     expect_identical(out, allocator.solve(groups), seed, "dirty-spurious");
 
     incremental_solves_seen += ws.incremental_solves();
   }
-  // Every mutated solve of the sweep must have taken the incremental path
-  // for the Lagrangian solver (3 per seed); the others always run full.
+  // Every dirty solve of the sweep must have taken the incremental path for
+  // the Lagrangian solver (4 per seed); the others always run full.
   if (kind == SolverKind::kLagrangian)
-    EXPECT_EQ(incremental_solves_seen, 600u);
+    EXPECT_EQ(incremental_solves_seen, 800u);
   else
     EXPECT_EQ(incremental_solves_seen, 0u);
 }
@@ -562,7 +573,7 @@ TEST_P(SteadyStateAllocations, SolveIsHeapAllocationFree) {
   const int num_types = static_cast<int>(hw.core_types.size());
 
   // A modest feasible instance with well-separated costs, so the tiny cost
-  // nudges below change the fingerprint without ever flipping a selection
+  // nudges below change the instance without ever flipping a selection
   // (stable shapes ⇒ all vector capacities reach steady state in warm-up).
   std::vector<AllocationGroup> groups;
   for (int g = 0; g < 4; ++g) {
@@ -584,22 +595,19 @@ TEST_P(SteadyStateAllocations, SolveIsHeapAllocationFree) {
   SolveWorkspace ws;
   AllocationResult out;
 
-  // Warm-up: full solves (fingerprint changes through the nudge) and one
-  // replay, with the exact access pattern of the measured loop.
-  for (int cycle = 0; cycle < 8; ++cycle) {
-    groups[0].costs[0] += 1e-9;
+  // Warm-up: full solves with the exact access pattern of the measured loop.
+  for (int cycle = 0; cycle < 9; ++cycle) {
+    if (cycle < 8) groups[0].costs[0] += 1e-9;
     allocator.solve(ptrs, ws, out);
-    ASSERT_FALSE(ws.replayed());
+    ASSERT_EQ(ws.last_mode(), SolveMode::kFull);
   }
-  allocator.solve(ptrs, ws, out);
-  ASSERT_TRUE(ws.replayed());
   ASSERT_TRUE(out.feasible);
 
   const std::uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
   for (int cycle = 0; cycle < 50; ++cycle) {
-    groups[0].costs[0] += 1e-9;  // new fingerprint: forces a full solve
+    groups[0].costs[0] += 1e-9;  // a changed instance
     allocator.solve(ptrs, ws, out);
-    allocator.solve(ptrs, ws, out);  // unchanged instance: replay path
+    allocator.solve(ptrs, ws, out);  // the unchanged instance, solved again
   }
   const std::uint64_t delta = g_allocation_count.load(std::memory_order_relaxed) - before;
 
@@ -646,28 +654,82 @@ TEST(SteadyStateAllocationsDirty, IncrementalSolveIsHeapAllocationFree) {
   SolveWorkspace ws;
   AllocationResult out;
 
+  // The first solve has no clean state to reuse and runs full; every later
+  // one is incremental, spuriously dirty or not.
   for (int cycle = 0; cycle < 8; ++cycle) {
     groups[0].costs[0] += 1e-9;
     allocator.solve(ptrs, dirty, /*structure_changed=*/false, ws, out);
-    ASSERT_FALSE(ws.replayed());
   }
   allocator.solve(ptrs, dirty, /*structure_changed=*/false, ws, out);
-  ASSERT_TRUE(ws.replayed());
-  ASSERT_EQ(ws.last_mode(), SolveMode::kReplay);
+  ASSERT_EQ(ws.last_mode(), SolveMode::kIncremental);
   ASSERT_TRUE(out.feasible);
 
   const std::uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
   for (int cycle = 0; cycle < 50; ++cycle) {
     groups[0].costs[0] += 1e-9;  // dirty for real: forces an incremental solve
     allocator.solve(ptrs, dirty, /*structure_changed=*/false, ws, out);
-    allocator.solve(ptrs, dirty, /*structure_changed=*/false, ws, out);  // spurious: replay
+    allocator.solve(ptrs, dirty, /*structure_changed=*/false, ws, out);  // spuriously dirty
   }
   const std::uint64_t delta = g_allocation_count.load(std::memory_order_relaxed) - before;
 
   EXPECT_EQ(delta, 0u) << "dirty-path solve allocated " << delta << " times in 100 cycles";
-  EXPECT_EQ(ws.last_mode(), SolveMode::kReplay);
-  EXPECT_GT(ws.incremental_solves(), 50u);
+  EXPECT_EQ(ws.last_mode(), SolveMode::kIncremental);
+  EXPECT_EQ(ws.incremental_solves(), 108u);
   EXPECT_TRUE(out.feasible);
+}
+
+TEST(SteadyStateAllocationsSession, SessionCycleIsHeapAllocationFree) {
+  // The RM's steady state through AllocationSession: a resubmission cycle
+  // (one group rebuilt → incremental solve) and a no-change cycle (same ids,
+  // nothing rebuilt → no solver call). Neither may allocate once the id and
+  // group vectors reached capacity.
+  platform::HardwareDescription hw = platform::raptor_lake();
+  const int num_types = static_cast<int>(hw.core_types.size());
+  std::vector<AllocationGroup> groups;
+  for (int g = 0; g < 4; ++g) {
+    AllocationGroup group;
+    group.app_name = "app" + std::to_string(g);
+    for (int c = 0; c < 4; ++c) {
+      OperatingPoint point;
+      point.erv = platform::ExtendedResourceVector::from_threads(hw, {1 + c, g % 2});
+      point.nfc.utility = 1.0;
+      group.candidates.push_back(point);
+      group.costs.push_back(1.0 + 2.0 * c + 0.25 * g);
+    }
+    group.prepare(num_types);
+    groups.push_back(std::move(group));
+  }
+
+  Allocator allocator(hw, SolverKind::kLagrangian);
+  AllocationSession session("rm", nullptr, nullptr);  // no sinks: the hot path stays pure
+  auto cycle = [&](bool first_rebuilt) {
+    session.begin(groups.size(), 0.0);
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      session.add(100 + g, groups[g], g == 0 && first_rebuilt);
+    bool solved = session.solve(allocator);
+    session.end();
+    return solved;
+  };
+
+  for (int warm = 0; warm < 8; ++warm) {
+    groups[0].costs[0] += 1e-9;
+    ASSERT_TRUE(cycle(true));
+  }
+  ASSERT_FALSE(cycle(false));
+  ASSERT_TRUE(session.result().feasible);
+
+  const std::uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  int solved = 0;
+  for (int round = 0; round < 50; ++round) {
+    groups[0].costs[0] += 1e-9;  // a resubmission: app 100's group rebuilt
+    solved += cycle(true) ? 1 : 0;
+    solved += cycle(false) ? 1 : 0;  // nothing changed: no solver call
+  }
+  const std::uint64_t delta = g_allocation_count.load(std::memory_order_relaxed) - before;
+
+  EXPECT_EQ(delta, 0u) << "session cycle allocated " << delta << " times in 100 cycles";
+  EXPECT_EQ(solved, 50);
+  EXPECT_TRUE(session.result().feasible);
 }
 
 }  // namespace

@@ -136,6 +136,70 @@ TEST(EventLoop, WakeupUnblocksWaitFromAnotherThread) {
   }
 }
 
+// Lost-wakeup regression. One thread storms wakeup() while the loop thread
+// spins through wait(0), so both run at once and wait()'s drain-and-re-arm
+// step runs under fire. After each storm the loop thread parks in a
+// blocking wait(), a sentinel is published and nudged once, and the loop
+// thread must see it within a bound. Re-arming before draining let the
+// drain swallow a byte written after the re-arm: the flag then stayed armed
+// over an empty pipe and every later wakeup() — the sentinel's included —
+// was coalesced away until the wait timed out.
+TEST(EventLoop, WakeStormNeverSwallowsTheNextWakeup) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kRounds = 200;
+  constexpr std::uint64_t kWakesPerStorm = 50;
+  constexpr auto kStormLimit = std::chrono::seconds(1);
+  constexpr auto kSentinelBound = std::chrono::milliseconds(250);
+  for (EventLoop::Backend backend : backends_under_test()) {
+    EventLoop loop(backend);
+    ASSERT_TRUE(loop.valid());
+    std::atomic<bool> storming{false};
+    std::atomic<bool> parked{false};
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> wakes{0};
+    std::atomic<int> sentinel{0};
+    std::atomic<int> seen{0};
+    std::thread waiter([&] {
+      std::vector<EventLoop::Ready> ready;
+      while (!stop.load(std::memory_order_acquire)) {
+        // Bounded, so a swallowed wakeup fails the test instead of hanging it.
+        const bool spin = storming.load(std::memory_order_acquire);
+        if (!spin) parked.store(true, std::memory_order_release);
+        EXPECT_TRUE(loop.wait(spin ? 0 : 3000, ready).ok());
+        parked.store(false, std::memory_order_release);
+        if (loop.woke()) wakes.fetch_add(1, std::memory_order_release);
+        seen.store(sentinel.load(std::memory_order_acquire), std::memory_order_release);
+      }
+    });
+
+    int lost_at = 0;
+    for (int round = 1; round <= kRounds && lost_at == 0; ++round) {
+      storming.store(true, std::memory_order_release);
+      const std::uint64_t target = wakes.load(std::memory_order_acquire) + kWakesPerStorm;
+      const Clock::time_point storm_end = Clock::now() + kStormLimit;
+      while (wakes.load(std::memory_order_acquire) < target && Clock::now() < storm_end)
+        loop.wakeup();
+      storming.store(false, std::memory_order_release);
+      // Publish the sentinel once the loop thread heads into a blocking
+      // wait: from then on only a delivered wakeup can reveal it in time.
+      const Clock::time_point park_end = Clock::now() + kStormLimit;
+      while (!parked.load(std::memory_order_acquire) && Clock::now() < park_end)
+        std::this_thread::yield();
+      sentinel.store(round, std::memory_order_release);
+      loop.wakeup();
+      const Clock::time_point deadline = Clock::now() + kSentinelBound;
+      while (seen.load(std::memory_order_acquire) < round && Clock::now() < deadline)
+        std::this_thread::yield();
+      if (seen.load(std::memory_order_acquire) < round) lost_at = round;
+    }
+    stop.store(true, std::memory_order_release);
+    loop.wakeup();
+    waiter.join();
+    EXPECT_EQ(lost_at, 0) << "backend " << static_cast<int>(loop.backend())
+                          << ": the sentinel wakeup after storm " << lost_at << " was lost";
+  }
+}
+
 TEST(EventLoop, ReadableAndWritableReadiness) {
   for (EventLoop::Backend backend : backends_under_test()) {
     EventLoop loop(backend);

@@ -7,8 +7,10 @@
 // are parameterized over fault-plan seeds, so each timeline is exercised
 // under several distinct (but reproducible) fault interleavings.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -339,6 +341,24 @@ TEST(RmServerSupersede, ZombieExcludedFromSameCycleReallocation) {
 
   rm.poll(2.0);  // the closed zombie connection is reaped next cycle
   EXPECT_EQ(rm.client_count(), 1u);
+}
+
+// An RM built while the process is out of file descriptors has no readiness
+// loop. listen() must report that (harpd then exits non-zero) rather than
+// bind a socket whose clients no cycle would ever see.
+TEST(RmServerListen, FailsWhenTheEventLoopCannotBeCreated) {
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit exhausted = saved;
+  exhausted.rlim_cur = 3;  // stdin/stdout/stderr only: no fd left for the wakeup pipe
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &exhausted), 0);
+  auto rm = std::make_unique<core::RmServer>(platform::raptor_lake(), rm_options());
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  Status listening = rm->listen(::testing::TempDir() + "harp-no-event-loop.sock");
+  ASSERT_FALSE(listening.ok());
+  EXPECT_NE(listening.error().message.find("event loop unavailable"), std::string::npos)
+      << listening.error().message;
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ struct DseCase {
   std::string app;
 };
 
+// Without this, gtest names each case by a byte dump of DseCase, whose
+// std::string members hold heap pointers: the listed test name, and so the
+// discovered ctest name, would change from one process to the next.
+void PrintTo(const DseCase& c, std::ostream* os) { *os << c.platform << '/' << c.app; }
+
 std::vector<DseCase> all_dse_cases() {
   std::vector<DseCase> cases;
   model::WorkloadCatalog raptor = model::WorkloadCatalog::raptor_lake();

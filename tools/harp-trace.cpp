@@ -65,11 +65,11 @@ void print_cycles(const std::vector<TraceEvent>& events) {
   double cycle = 0.0, apps = 0.0;
   std::vector<const TraceEvent*> grants;
   std::size_t printed = 0;
-  // Solver-path mix: mmkp_solve end events carry {"replayed", 1.0} when the
-  // cached selection was replayed wholesale and {"incremental", 0/1} when a
-  // dirty-subset re-solve ran vs a cold/full one.
+  // Solver-path mix: mmkp_solve end events carry {"incremental", 0/1} for a
+  // dirty-subset re-solve vs a full one; an alloc_cycle that ends with
+  // {"skipped", 1.0} changed nothing and never called the solver.
   const char* solver_mode = "-";
-  std::size_t n_replay = 0, n_inc = 0, n_full = 0;
+  std::size_t n_skip = 0, n_inc = 0, n_full = 0;
   for (const TraceEvent& event : events) {
     if (event.type == EventType::kAllocCycle && event.phase == Phase::kBegin) {
       in_cycle = true;
@@ -85,10 +85,7 @@ void print_cycles(const std::vector<TraceEvent>& events) {
       continue;
     }
     if (in_cycle && event.type == EventType::kMmkpSolve && event.phase == Phase::kEnd) {
-      if (num_arg(event, "replayed") > 0.5) {
-        solver_mode = "replay";
-        ++n_replay;
-      } else if (num_arg(event, "incremental") > 0.5) {
+      if (num_arg(event, "incremental") > 0.5) {
         solver_mode = "inc";
         ++n_inc;
       } else {
@@ -100,6 +97,10 @@ void print_cycles(const std::vector<TraceEvent>& events) {
     if (in_cycle && event.type == EventType::kAllocCycle && event.phase == Phase::kEnd) {
       in_cycle = false;
       ++printed;
+      if (num_arg(event, "skipped") > 0.5) {
+        solver_mode = "skip";
+        ++n_skip;
+      }
       bool feasible = num_arg(event, "feasible") > 0.5;
       std::printf("%10.4f %7.0f %5.0f %9s %11.2f %11.6f %7s\n", begin_t, cycle, apps,
                   feasible ? "yes" : "no", num_arg(event, "total_cost"), event.t - begin_t,
@@ -115,9 +116,9 @@ void print_cycles(const std::vector<TraceEvent>& events) {
     std::printf("no allocation cycles in trace\n");
     return;
   }
-  if (n_replay + n_inc + n_full > 0)
-    std::printf("solver mix: %zu replay, %zu incremental, %zu full (%zu cycles)\n", n_replay,
-                n_inc, n_full, printed);
+  if (n_skip + n_inc + n_full > 0)
+    std::printf("solver mix: %zu skip, %zu incremental, %zu full (%zu cycles)\n", n_skip, n_inc,
+                n_full, printed);
 }
 
 void print_exploration(const std::vector<TraceEvent>& events) {

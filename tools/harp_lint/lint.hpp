@@ -27,8 +27,8 @@
 //                          const members exempt), or a guard annotation whose
 //                          argument names no declared mutex member.
 //   r9  nondet-taint        interprocedural: a determinism sink (telemetry
-//                          event emission, json::dump/save_file, the solver
-//                          fingerprint, bench report writers) reachable from
+//                          event emission, json::dump/save_file, bench
+//                          report writers) reachable from
 //                          a nondeterminism source (wall clock, rand/
 //                          random_device, getenv, pointer-to-integer casts,
 //                          pointer hashing, order-sensitive unordered-

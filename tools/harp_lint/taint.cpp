@@ -183,12 +183,8 @@ std::vector<Sink> find_sinks(const std::vector<Token>& t, std::size_t begin, std
       sinks.push_back(Sink{t[i].line, "bench::write_bench_file"});
       continue;
     }
-    if (name == "bench_envelope" && !declaration_like(t, i, begin)) {
+    if (name == "bench_envelope" && !declaration_like(t, i, begin))
       sinks.push_back(Sink{t[i].line, "bench::bench_envelope"});
-      continue;
-    }
-    if (name == "bound_fingerprint" && !declaration_like(t, i, begin))
-      sinks.push_back(Sink{t[i].line, "SolveWorkspace fingerprint"});
   }
   return sinks;
 }

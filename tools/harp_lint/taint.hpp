@@ -1,8 +1,8 @@
 // Interprocedural determinism-taint analysis for harp-lint (rules r9, r10).
 //
 //   r9  nondet-taint      a determinism sink (telemetry event emission,
-//                         json::dump/save_file, the solver workspace
-//                         fingerprint, bench report writers) reachable from
+//                         json::dump/save_file, bench report writers)
+//                         reachable from
 //                         a nondeterminism source (wall-clock reads,
 //                         std::random_device/rand/srand, getenv,
 //                         pointer-to-integer casts and pointer hashing,

@@ -11,12 +11,13 @@
 //
 // With --config, profiles in <dir>/apps/*.json pre-seed the clients'
 // operating-point tables when they register under a matching name.
+#include <cerrno>
+#include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <chrono>
 #include <string>
-#include <thread>
 
 #include "src/common/logging.hpp"
 #include "src/harp/config_dir.hpp"
@@ -26,7 +27,15 @@
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
-void handle_signal(int) { g_stop = 1; }
+harp::core::RmServer* g_rm = nullptr;  // set before the handlers are installed
+
+void handle_signal(int) {
+  const int saved_errno = errno;
+  g_stop = 1;
+  // Async-signal-safe (an atomic flag and a pipe write): ends a blocked wait.
+  if (g_rm != nullptr) g_rm->wakeup();
+  errno = saved_errno;
+}
 
 void usage() {
   std::fprintf(stderr,
@@ -82,23 +91,31 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  harp::core::RmServer rm(hw);
+  harp::core::RmServerOptions options;
+  harp::core::RmServer rm(hw, options);
   if (harp::Status s = rm.listen(socket_path); !s.ok()) {
     std::fprintf(stderr, "harpd: %s\n", s.error().message.c_str());
     return 1;
   }
 
+  g_rm = &rm;
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
   std::printf("harpd: managing '%s' on %s (ctrl-c to stop)\n", hw.name.c_str(),
               socket_path.c_str());
 
+  // Block until readiness or the next utility tick, so an idle daemon wakes
+  // once per tick. The tick's own cycle runs without waiting; other cycles
+  // run on the clock read before their wait, at most one tick stale.
+  const double tick_s = options.utility_poll_interval_s;
+  double next_tick = tick_s;
   auto t0 = std::chrono::steady_clock::now();
   while (g_stop == 0) {
     double now =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    rm.poll(now);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    bool tick = now >= next_tick;
+    rm.poll(now, tick ? 0 : static_cast<int>(std::ceil((next_tick - now) * 1e3)));
+    if (tick) next_tick = now + tick_s;
   }
   std::printf("harpd: shutting down (%zu clients)\n", rm.client_count());
   return 0;
