@@ -9,9 +9,9 @@
 
 namespace harp::core {
 
-AllocationSession::AllocationSession(std::string scope, telemetry::Tracer* tracer,
+AllocationSession::AllocationSession(telemetry::Tracer* tracer,
                                      telemetry::MetricsRegistry* metrics)
-    : scope_(std::move(scope)), tracer_(tracer) {
+    : tracer_(tracer) {
   if (metrics == nullptr) return;
   rebuilds_ = &metrics->counter("rm_group_rebuilds_total");
   cache_hits_ = &metrics->counter("rm_group_cache_hits_total");
@@ -27,7 +27,7 @@ void AllocationSession::begin(std::size_t apps, double cycle) {
   dirty_.clear();
   skipped_ = false;
   if (tracer_ != nullptr)
-    tracer_->begin(telemetry::EventType::kAllocCycle, scope_,
+    tracer_->begin(telemetry::EventType::kAllocCycle, "rm",
                    {{"apps", static_cast<double>(apps)}, {"cycle", cycle}});
 }
 
@@ -73,7 +73,7 @@ void AllocationSession::end() {
   telemetry::NumArgs args{{"feasible", result_.feasible ? 1.0 : 0.0}};
   if (result_.feasible) args.emplace_back("total_cost", result_.total_cost);
   if (skipped_) args.emplace_back("skipped", 1.0);
-  tracer_->end(telemetry::EventType::kAllocCycle, scope_, std::move(args));
+  tracer_->end(telemetry::EventType::kAllocCycle, "rm", std::move(args));
 }
 
 void AllocationSession::invalidate() {

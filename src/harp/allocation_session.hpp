@@ -1,9 +1,8 @@
 // One RM decision cycle (Fig. 2: tables → MMKP → core assignment), shared by
-// every caller that runs it: RmServer (clients over the wire), HarpPolicy
-// (apps in the simulator) and the ShardedRmServer coordinator (groups merged
-// across shards). The session is the seam between cached per-application
-// choice groups and the runtime selection step (DESIGN.md "Hot path &
-// incrementality"):
+// both callers that run it: RmServer (clients over the wire, one per shard
+// when sharded) and HarpPolicy (apps in the simulator). The session is the
+// seam between cached per-application choice groups and the runtime
+// selection step (DESIGN.md "Hot path & incrementality"):
 //
 //   1. refresh() — the one cache-validity check: an app's group is rebuilt
 //      only when its table's version (or key) moved since the last build.
@@ -45,10 +44,8 @@ struct CachedGroup {
 
 class AllocationSession {
  public:
-  /// `scope` names the alloc_cycle span ("rm", "coordinator"). Either sink
-  /// may be null.
-  AllocationSession(std::string scope, telemetry::Tracer* tracer,
-                    telemetry::MetricsRegistry* metrics);
+  /// Cycles are alloc_cycle spans scoped "rm". Either sink may be null.
+  AllocationSession(telemetry::Tracer* tracer, telemetry::MetricsRegistry* metrics);
 
   /// Rebuild `cached` through `build()` (returning an AllocationGroup) when
   /// the table's version or key differs from the cached build, and prepare
@@ -96,7 +93,6 @@ class AllocationSession {
   const std::vector<double>& multipliers() const { return ws_.multipliers(); }
 
  private:
-  std::string scope_;
   telemetry::Tracer* tracer_;
 
   SolveWorkspace ws_;

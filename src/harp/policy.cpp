@@ -52,7 +52,7 @@ const OperatingPointTable& HarpPolicy::table_of(const ManagedApp& app) const {
 }
 
 HarpPolicy::HarpPolicy(HarpOptions options)
-    : options_(std::move(options)), session_("rm", options_.tracer, options_.metrics) {}
+    : options_(std::move(options)), session_(options_.tracer, options_.metrics) {}
 HarpPolicy::~HarpPolicy() = default;
 
 std::string HarpPolicy::name() const {

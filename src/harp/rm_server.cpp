@@ -4,7 +4,6 @@
 
 #include "src/common/check.hpp"
 #include "src/common/logging.hpp"
-#include "src/common/parallel_for.hpp"
 #include "src/common/race_registry.hpp"
 #include "src/mlmodels/pareto.hpp"
 
@@ -62,8 +61,6 @@ struct RmServer::Client {
   std::unique_ptr<ipc::Channel> channel;
   /// Cached native_handle() (the channel forgets it on close); -1 = in-proc.
   int fd = -1;
-  /// Global adoption order; ties allocation order together across shards.
-  std::uint64_t admission = 0;
   /// Readiness flag, set by the event loop (fd channels) or by the channel's
   /// ready hook (in-process channels, possibly from the sending thread) and
   /// test-and-cleared by the poll cycle. Shared so a hook outliving a poll
@@ -100,12 +97,7 @@ RmServer::RmServer(platform::HardwareDescription hw, RmServerOptions options)
       hw_(std::move(hw)),
       options_(options),
       allocator_(hw_, options.solver, options.tracer),
-      session_("rm", options.tracer, options.metrics) {
-  HARP_CHECK(options_.solver_workers >= 1);
-  if (options_.solver_workers > 1) {
-    solve_pool_ = std::make_unique<harp::ParallelFor>(options_.solver_workers);
-    allocator_.set_parallelism(solve_pool_.get());
-  }
+      session_(options.tracer, options.metrics) {
   if (options_.metrics != nullptr) {
     reallocs_counter_ = &options_.metrics->counter("rm_reallocs_total");
     registrations_counter_ = &options_.metrics->counter("rm_registrations_total");
@@ -131,20 +123,12 @@ Status RmServer::listen(const std::string& socket_path) {
 
 void RmServer::adopt_channel(std::unique_ptr<ipc::Channel> channel) {
   MutexLock lock(mutex_);
-  adopt_channel_locked(std::move(channel), next_admission_++);
+  adopt_channel_locked(std::move(channel));
 }
 
-void RmServer::adopt_channel(std::unique_ptr<ipc::Channel> channel, std::uint64_t admission) {
-  MutexLock lock(mutex_);
-  if (admission >= next_admission_) next_admission_ = admission + 1;
-  adopt_channel_locked(std::move(channel), admission);
-}
-
-void RmServer::adopt_channel_locked(std::unique_ptr<ipc::Channel> channel,
-                                    std::uint64_t admission) {
+void RmServer::adopt_channel_locked(std::unique_ptr<ipc::Channel> channel) {
   auto client = std::make_unique<Client>();
   client->channel = std::move(channel);
-  client->admission = admission;
   client->fd = client->channel->native_handle();
   // New channels start ready: frames may have arrived before adoption.
   client->ready = std::make_shared<std::atomic<bool>>(true);
@@ -271,7 +255,7 @@ void RmServer::accept_pending_locked() {
       break;
     }
     if (!accepted.value().has_value()) break;
-    adopt_channel_locked(std::move(*accepted.value()), next_admission_++);
+    adopt_channel_locked(std::move(*accepted.value()));
   }
 }
 
@@ -316,7 +300,7 @@ void RmServer::process_cycle_locked(double now_seconds) {
     }
   }
 
-  if (needs_realloc_ && !options_.external_solver) reallocate();
+  if (needs_realloc_) reallocate();
 
   // Periodic utility feedback (Fig. 3 step 4).
   if (now_seconds - last_utility_poll_ >= options_.utility_poll_interval_s) {
@@ -533,37 +517,6 @@ void RmServer::send_coallocation_locked(Client& client) {
   (void)client.channel->send(ipc::Message(activate));
 }
 
-void RmServer::export_groups(std::vector<ExportedGroup>& out) {
-  out.clear();
-  MutexLock lock(mutex_);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    Client* client = clients_[i].get();
-    if (!client->registered) continue;
-    bool rebuilt = refresh_group_locked(*client);
-    out.push_back(ExportedGroup{client->admission, i, &client->group.group, rebuilt});
-  }
-}
-
-bool RmServer::take_needs_realloc() {
-  MutexLock lock(mutex_);
-  bool value = needs_realloc_;
-  needs_realloc_ = false;
-  return value;
-}
-
-void RmServer::push_activation(std::size_t client_index, const OperatingPoint& point,
-                               const platform::CoreAllocation& cores, double cost) {
-  MutexLock lock(mutex_);
-  if (client_index >= clients_.size()) return;
-  send_activation_locked(*clients_[client_index], point, cores, cost);
-}
-
-void RmServer::push_coallocation(std::size_t client_index) {
-  MutexLock lock(mutex_);
-  if (client_index >= clients_.size()) return;
-  send_coallocation_locked(*clients_[client_index]);
-}
-
 void RmServer::set_core_budget(std::vector<std::vector<int>> owned_cores) {
   MutexLock lock(mutex_);
   if (!owned_cores.empty())
@@ -574,7 +527,6 @@ void RmServer::set_core_budget(std::vector<std::vector<int>> owned_cores) {
     for (std::size_t t = 0; t < budget_hw.core_types.size(); ++t)
       budget_hw.core_types[t].core_count = static_cast<int>(owned_cores_[t].size());
   allocator_ = Allocator(budget_hw, options_.solver, options_.tracer);
-  if (solve_pool_ != nullptr) allocator_.set_parallelism(solve_pool_.get());
   // The last result holds core ids of the old budget: unchanged groups must
   // still be solved, in full, against the new one.
   session_.invalidate();

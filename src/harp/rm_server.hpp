@@ -17,14 +17,13 @@
 // clients.
 //
 // Every reallocation runs through an AllocationSession
-// (allocation_session.hpp): the same decision cycle HarpPolicy and the shard
-// coordinator run, keyed by app_id.
+// (allocation_session.hpp): the same decision cycle HarpPolicy runs, keyed
+// by app_id.
 //
-// For multi-RM scale-out the server also exposes a sharding surface
-// (export_groups / push_activation / set_core_budget): a ShardedRmServer
-// (rm_shard.hpp) runs N RmServers over disjoint client sets and either
-// solves globally across them (result-neutral to a single server) or gives
-// each shard a disjoint core budget and rebalances on λ drift.
+// For multi-RM scale-out the server also exposes a core budget
+// (set_core_budget / last_multipliers): a ShardedRmServer (rm_shard.hpp)
+// runs N RmServers over disjoint client sets, gives each a disjoint slice of
+// the cores, and moves cores between them on λ drift.
 //
 // Unlike HarpPolicy (the simulator-embedded RM used in the evaluation
 // benches), RmServer manages real client processes; it has no telemetry of
@@ -61,15 +60,6 @@ struct RmServerOptions {
   /// Consecutive malformed ("proto:") frames tolerated per client before the
   /// connection is cut; a valid frame resets the count.
   int max_malformed_frames = 8;
-  /// When true, poll() never runs the MMKP itself: it drains I/O and leaves
-  /// the realloc flag set for an external coordinator that solves globally
-  /// via export_groups() / push_activation() (ShardedRmServer with
-  /// rebalancing disabled).
-  bool external_solver = false;
-  /// Worker lanes for the solver's across-groups scan (>= 1; the poll thread
-  /// is lane 0, so 1 means no extra threads). Results are bit-identical for
-  /// any value — this trades cores for latency on large instances only.
-  int solver_workers = 1;
   /// Optional telemetry sinks (may each be null): allocation-cycle spans,
   /// grant/registration/lease instants, and "rm_*_total" counters.
   telemetry::Tracer* tracer = nullptr;
@@ -87,17 +77,6 @@ struct ClientSnapshot {
   std::vector<ipc::ActivateMsg::CoreGrant> granted;
 };
 
-/// One registered client's choice group, exported for an external (global)
-/// solve. `group` points into the server's client record and `client_index`
-/// is positional — both are valid only until the server's next poll() or
-/// adoption; the coordinator uses them within a single cycle.
-struct ExportedGroup {
-  std::uint64_t admission = 0;   ///< global adoption order (the merge key)
-  std::size_t client_index = 0;  ///< index into the owning server
-  const AllocationGroup* group = nullptr;
-  bool rebuilt = false;          ///< rebuilt since the previous export
-};
-
 class RmServer {
  public:
   RmServer(platform::HardwareDescription hw, RmServerOptions options = {});
@@ -111,9 +90,6 @@ class RmServer {
 
   /// Adopt an already connected channel (in-process transport).
   void adopt_channel(std::unique_ptr<ipc::Channel> channel);
-  /// Sharded adoption: the coordinator assigns the global admission number
-  /// so allocation order is defined across shards.
-  void adopt_channel(std::unique_ptr<ipc::Channel> channel, std::uint64_t admission);
 
   /// One event-loop iteration: accept clients, process pending messages,
   /// reallocate if anything changed, and issue due utility requests.
@@ -130,26 +106,6 @@ class RmServer {
   void wakeup();
 
   // Sharding surface (used by ShardedRmServer; see rm_shard.hpp). ------
-
-  /// Export the choice groups of all registered clients in adoption order,
-  /// refreshing stale group caches. `rebuilt` is relative to the previous
-  /// export, so only the coordinator that solves the groups may call this.
-  /// See ExportedGroup for lifetime rules.
-  void export_groups(std::vector<ExportedGroup>& out);
-
-  /// Consume the needs-reallocation flag (set by registrations, point
-  /// updates, departures). The external coordinator solves when any shard
-  /// reports true.
-  bool take_needs_realloc();
-
-  /// Push an externally solved activation to a client (by export index).
-  /// `cores` holds core ids local to this server's budget; they are
-  /// remapped to platform ids when a budget is installed.
-  void push_activation(std::size_t client_index, const OperatingPoint& point,
-                       const platform::CoreAllocation& cores, double cost);
-
-  /// Push the co-allocation fallback (whole machine, OS-scheduled).
-  void push_coallocation(std::size_t client_index);
 
   /// Restrict this server to a disjoint slice of the platform: one vector of
   /// owned physical core ids per core type. The internal allocator is
@@ -190,8 +146,7 @@ class RmServer {
   void poll_impl(double now_seconds, int timeout_ms);
   void accept_pending_locked() HARP_REQUIRES(mutex_);
   void process_cycle_locked(double now_seconds) HARP_REQUIRES(mutex_);
-  void adopt_channel_locked(std::unique_ptr<ipc::Channel> channel, std::uint64_t admission)
-      HARP_REQUIRES(mutex_);
+  void adopt_channel_locked(std::unique_ptr<ipc::Channel> channel) HARP_REQUIRES(mutex_);
   void process_client_messages(Client& client, double now_seconds) HARP_REQUIRES(mutex_);
   void handle_registration(Client& client, const ipc::RegisterRequest& request)
       HARP_REQUIRES(mutex_);
@@ -234,7 +189,6 @@ class RmServer {
   /// Owned physical core ids per type when budgeted (see set_core_budget);
   /// empty = the full platform.
   std::vector<std::vector<int>> owned_cores_ HARP_GUARDED_BY(mutex_);
-  std::uint64_t next_admission_ HARP_GUARDED_BY(mutex_) = 0;
   std::int32_t next_app_id_ HARP_GUARDED_BY(mutex_) = 1;
   bool needs_realloc_ HARP_GUARDED_BY(mutex_) = false;
   double last_utility_poll_ HARP_GUARDED_BY(mutex_) = 0.0;
@@ -245,9 +199,6 @@ class RmServer {
   AllocationSession session_ HARP_GUARDED_BY(mutex_);
   /// Registered clients in allocation order, reused across cycles.
   std::vector<Client*> registered_scratch_ HARP_GUARDED_BY(mutex_);
-  /// Solver worker pool (null when options.solver_workers == 1). Created at
-  /// construction, attached to every Allocator this server builds.
-  std::unique_ptr<harp::ParallelFor> solve_pool_;  // harp-lint: allow(all immutable after construction)
   /// Counters resolved once at construction from options.metrics (all null
   /// when metrics are off, making every increment a single null check).
   telemetry::Counter* reallocs_counter_ HARP_GUARDED_BY(mutex_) = nullptr;

@@ -21,36 +21,27 @@ double steady_now_seconds() {
 }  // namespace
 
 ShardedRmServer::ShardedRmServer(platform::HardwareDescription hw, ShardedRmOptions options)
-    : hw_(std::move(hw)),
-      options_(options),
-      coordinator_allocator_(hw_, options.server.solver, options.server.tracer),
-      session_("coordinator", options.server.tracer, options.server.metrics) {
+    : hw_(std::move(hw)), options_(options) {
   HARP_CHECK(options_.num_shards >= 1);
   const int n = options_.num_shards;
   const std::size_t num_types = hw_.core_types.size();
 
-  RmServerOptions shard_options = options_.server;
-  shard_options.external_solver = options_.rebalance == RebalanceMode::kDisabled;
   shards_.reserve(static_cast<std::size_t>(n));
   shard_scopes_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<RmServer>(hw_, shard_options));
+    shards_.push_back(std::make_unique<RmServer>(hw_, options_.server));
     shard_scopes_.push_back("shard" + std::to_string(i));
   }
 
-  if (options_.rebalance == RebalanceMode::kLambdaDrift) {
-    // Initial deal: core c of type t goes to shard c mod N — contiguous
-    // platforms end up with balanced, interleaved slices.
-    budgets_.assign(static_cast<std::size_t>(n),
-                    std::vector<std::vector<int>>(num_types));
-    for (std::size_t t = 0; t < num_types; ++t)
-      for (int c = 0; c < hw_.core_types[t].core_count; ++c)
-        budgets_[static_cast<std::size_t>(c % n)][t].push_back(c);
-    for (int i = 0; i < n; ++i)
-      shards_[static_cast<std::size_t>(i)]->set_core_budget(
-          budgets_[static_cast<std::size_t>(i)]);
-    drift_rounds_.assign(num_types, 0);
-  }
+  // Initial deal: core c of type t goes to shard c mod N — contiguous
+  // platforms end up with balanced, interleaved slices.
+  budgets_.assign(static_cast<std::size_t>(n), std::vector<std::vector<int>>(num_types));
+  for (std::size_t t = 0; t < num_types; ++t)
+    for (int c = 0; c < hw_.core_types[t].core_count; ++c)
+      budgets_[static_cast<std::size_t>(c % n)][t].push_back(c);
+  for (int i = 0; i < n; ++i)
+    shards_[static_cast<std::size_t>(i)]->set_core_budget(budgets_[static_cast<std::size_t>(i)]);
+  drift_rounds_.assign(num_types, 0);
 
   if (options_.server.metrics != nullptr) {
     rebalances_counter_ = &options_.server.metrics->counter("rm_shard_rebalances_total");
@@ -73,25 +64,18 @@ Status ShardedRmServer::listen(const std::string& socket_path) {
 }
 
 void ShardedRmServer::adopt_channel(std::unique_ptr<ipc::Channel> channel) {
-  std::uint64_t admission;
+  std::uint64_t adoption;
   {
     MutexLock lock(mutex_);
-    admission = next_admission_++;
+    adoption = adoptions_++;
   }
-  RmServer& shard = *shards_[static_cast<std::size_t>(
-      admission % static_cast<std::uint64_t>(shards_.size()))];
-  shard.adopt_channel(std::move(channel), admission);
-  if (!threads_.empty()) shard.wakeup();
+  adopt_into_shard(static_cast<int>(adoption % static_cast<std::uint64_t>(shards_.size())),
+                   std::move(channel));
 }
 
 void ShardedRmServer::adopt_into_shard(int index, std::unique_ptr<ipc::Channel> channel) {
-  std::uint64_t admission;
-  {
-    MutexLock lock(mutex_);
-    admission = next_admission_++;
-  }
   RmServer& shard = *shards_[static_cast<std::size_t>(index)];
-  shard.adopt_channel(std::move(channel), admission);
+  shard.adopt_channel(std::move(channel));
   if (!threads_.empty()) shard.wakeup();
 }
 
@@ -134,54 +118,7 @@ void ShardedRmServer::poll(double now_seconds) {
     }
   }
 
-  if (options_.rebalance == RebalanceMode::kDisabled)
-    coordinate_global_solve();
-  else
-    coordinate_rebalance();
-}
-
-void ShardedRmServer::coordinate_global_solve() {
-  // Consume every shard's dirty flag (all must clear even if only one set).
-  bool dirty = false;
-  for (auto& shard : shards_) dirty = shard->take_needs_realloc() || dirty;
-  if (!dirty) return;
-
-  MutexLock lock(mutex_);
-  merged_.clear();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->export_groups(export_scratch_);
-    for (const ExportedGroup& e : export_scratch_)
-      merged_.push_back({static_cast<int>(i), e});
-  }
-  if (merged_.empty()) return;
-  // Admission order is a single server's adoption order; admissions are
-  // unique, so this sort fully determines the instance.
-  std::sort(merged_.begin(), merged_.end(),
-            [](const auto& a, const auto& b) { return a.second.admission < b.second.admission; });
-
-  ++coordinator_solves_;
-  session_.begin(merged_.size(), static_cast<double>(coordinator_solves_));
-  for (const auto& [shard, e] : merged_) session_.add(e.admission, *e.group, e.rebuilt);
-  // A no-change cycle: every client already holds the grant it would get.
-  if (!session_.solve(coordinator_allocator_)) {
-    session_.end();
-    return;
-  }
-
-  const AllocationResult& result = session_.result();
-  if (!result.feasible) {
-    for (const auto& [shard, e] : merged_)
-      shards_[static_cast<std::size_t>(shard)]->push_coallocation(e.client_index);
-  } else {
-    for (std::size_t g = 0; g < merged_.size(); ++g) {
-      const auto& [shard, e] = merged_[g];
-      std::size_t selected = result.selection[g];
-      shards_[static_cast<std::size_t>(shard)]->push_activation(
-          e.client_index, e.group->candidates[selected], result.allocations[g],
-          e.group->costs[selected]);
-    }
-  }
-  session_.end();
+  coordinate_rebalance();
 }
 
 void ShardedRmServer::coordinate_rebalance() {
@@ -253,7 +190,6 @@ void ShardedRmServer::coordinate_rebalance() {
 }
 
 void ShardedRmServer::start_threads() {
-  HARP_CHECK(options_.rebalance == RebalanceMode::kLambdaDrift);
   if (!threads_.empty()) return;
   stop_threads_.store(false, std::memory_order_release);
   threads_.reserve(shards_.size());
@@ -295,11 +231,6 @@ std::size_t ShardedRmServer::client_count() const {
 std::uint64_t ShardedRmServer::rebalances() const {
   MutexLock lock(mutex_);
   return rebalances_;
-}
-
-std::uint64_t ShardedRmServer::coordinator_solves() const {
-  MutexLock lock(mutex_);
-  return coordinator_solves_;
 }
 
 std::vector<std::vector<std::vector<int>>> ShardedRmServer::budgets() const {

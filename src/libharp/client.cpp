@@ -280,7 +280,13 @@ void HarpClient::on_registered(double now_seconds) {
 Status HarpClient::submit_operating_points(
     const std::vector<ipc::OperatingPointsMsg::Point>& points) {
   MutexLock lock(mutex_);
-  submitted_points_.insert(submitted_points_.end(), points.begin(), points.end());
+  for (const ipc::OperatingPointsMsg::Point& point : points) {
+    auto [slot, fresh] = submitted_index_.emplace(point.erv, submitted_points_.size());
+    if (fresh)
+      submitted_points_.push_back(point);
+    else
+      submitted_points_[slot->second] = point;
+  }
   if (state_ == LinkState::kClosed)
     return Status(make_error("io: client closed"));
   if (state_ != LinkState::kConnected) return Status{};  // replayed after registration

@@ -35,6 +35,7 @@
 #include <chrono>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -260,7 +261,15 @@ class HarpClient {
 
   std::deque<Pending> pending_ HARP_GUARDED_BY(mutex_);
   std::uint64_t dropped_sends_ HARP_GUARDED_BY(mutex_) = 0;
+  /// The replay table: one entry per ERV, in first-submission order, holding
+  /// the latest point submitted for it. The RM's table is last-writer-wins
+  /// per ERV (OperatingPointTable::set_point), so replaying this gives a
+  /// restarted RM the same table the whole submission history would, in a
+  /// message whose size does not grow with the app's lifetime.
   std::vector<ipc::OperatingPointsMsg::Point> submitted_points_ HARP_GUARDED_BY(mutex_);
+  /// ERV → position in submitted_points_.
+  std::map<platform::ExtendedResourceVector, std::size_t> submitted_index_
+      HARP_GUARDED_BY(mutex_);
   Rng jitter_rng_ HARP_GUARDED_BY(mutex_);
   int attempt_ HARP_GUARDED_BY(mutex_) = 0;
   double next_retry_at_ HARP_GUARDED_BY(mutex_) = 0.0;

@@ -1,6 +1,6 @@
 // Tests for the one RM decision cycle (src/harp/allocation_session.hpp),
-// directly and through each of its three callers: RmServer, HarpPolicy and
-// the ShardedRmServer coordinator. In every caller
+// directly and through each of its two callers, RmServer and HarpPolicy.
+// In every caller
 //  - an arrival or a departure changes the id sequence: a full solve;
 //  - a resubmission rebuilds one group: an incremental solve;
 //  - a cycle where nothing changed returns the previous result without
@@ -23,7 +23,6 @@
 #include "src/harp/allocation_session.hpp"
 #include "src/harp/policy.hpp"
 #include "src/harp/rm_server.hpp"
-#include "src/harp/rm_shard.hpp"
 #include "src/model/catalog.hpp"
 #include "src/platform/hardware.hpp"
 #include "src/sim/slots.hpp"
@@ -91,7 +90,7 @@ TEST(AllocationSession, ClassifiesCyclesAndMatchesColdSolves) {
   for (int id = 1; id <= 3; ++id) groups[static_cast<std::uint64_t>(id)] = small_group(hw, id);
   Allocator allocator(hw);
   telemetry::MetricsRegistry metrics;
-  AllocationSession session("rm", nullptr, &metrics);
+  AllocationSession session(nullptr, &metrics);
   Counts mark;
 
   // One cycle over `ids`; `rebuilt` lists the ids whose group changed.
@@ -133,7 +132,7 @@ TEST(AllocationSession, ClassifiesCyclesAndMatchesColdSolves) {
 }
 
 // ---------------------------------------------------------------------------
-// RmServer and the shard coordinator: in-process clients
+// RmServer: in-process clients
 // ---------------------------------------------------------------------------
 
 struct TestClient {
@@ -148,17 +147,16 @@ ipc::OperatingPointsMsg points(const platform::HardwareDescription& hw, double u
   return msg;
 }
 
-/// A registered client with two points; `adopt` hands the RM end over.
-template <typename Adopt>
-TestClient connect(const platform::HardwareDescription& hw, const std::string& name,
-                   std::int32_t pid, Adopt adopt) {
+/// A client registered with `rm`, with two points.
+TestClient connect(RmServer& rm, const platform::HardwareDescription& hw,
+                   const std::string& name, std::int32_t pid) {
   auto [rm_end, app_end] = ipc::make_in_process_pair();
   ipc::RegisterRequest reg;
   reg.pid = pid;
   reg.app_name = name;
   EXPECT_TRUE(app_end->send(ipc::Message(reg)).ok());
   EXPECT_TRUE(app_end->send(ipc::Message(points(hw, 100.0))).ok());
-  adopt(std::move(rm_end));
+  rm.adopt_channel(std::move(rm_end));
   return TestClient{std::move(app_end), 0};
 }
 
@@ -183,17 +181,14 @@ TEST(AllocationSessionCallers, RmServer) {
   options.metrics = &metrics;
   options.tracer = &tracer;
   RmServer rm(hw, options);
-  auto adopt = [&rm](std::unique_ptr<ipc::Channel> channel) {
-    rm.adopt_channel(std::move(channel));
-  };
   Counts mark;
 
-  TestClient a = connect(hw, "a", 1, adopt);
+  TestClient a = connect(rm, hw, "a", 1);
   rm.poll(0.0);
   EXPECT_EQ(next_cycle(metrics, mark), Cycle::kFull);
   EXPECT_EQ(take_activations(a), 1);
 
-  TestClient b = connect(hw, "b", 2, adopt);  // arrival
+  TestClient b = connect(rm, hw, "b", 2);  // arrival
   rm.poll(0.0);
   EXPECT_EQ(next_cycle(metrics, mark), Cycle::kFull);
   EXPECT_EQ(take_activations(a), 1);
@@ -228,58 +223,6 @@ TEST(AllocationSessionCallers, RmServer) {
   rm.poll(0.0);
   EXPECT_EQ(next_cycle(metrics, mark), Cycle::kFull);
   EXPECT_EQ(take_activations(a), 1);
-}
-
-TEST(AllocationSessionCallers, ShardCoordinator) {
-  platform::HardwareDescription hw = platform::raptor_lake();
-  telemetry::MetricsRegistry metrics;
-  ShardedRmOptions options;
-  options.num_shards = 2;
-  options.rebalance = RebalanceMode::kDisabled;
-  options.server.lease_seconds = 0;
-  options.server.metrics = &metrics;
-  ShardedRmServer rm(hw, options);
-  auto adopt = [&rm](std::unique_ptr<ipc::Channel> channel) {
-    rm.adopt_channel(std::move(channel));
-  };
-  Counts mark;
-
-  TestClient a = connect(hw, "a", 1, adopt);  // shard 0
-  TestClient b = connect(hw, "b", 2, adopt);  // shard 1
-  rm.poll(0.0);
-  EXPECT_EQ(next_cycle(metrics, mark), Cycle::kFull);
-  EXPECT_EQ(take_activations(a), 1);
-  EXPECT_EQ(take_activations(b), 1);
-
-  // Resubmission-only cycle: the global solve is incremental.
-  ASSERT_TRUE(b.app->send(ipc::Message(points(hw, 80.0))).ok());
-  rm.poll(0.0);
-  EXPECT_EQ(next_cycle(metrics, mark), Cycle::kIncremental);
-  EXPECT_EQ(take_activations(a), 1);
-  EXPECT_EQ(take_activations(b), 1);
-
-  // An unregistered connection closing on a shard: nothing changed.
-  {
-    auto [rm_end, app_end] = ipc::make_in_process_pair();
-    rm.adopt_channel(std::move(rm_end));
-  }
-  rm.poll(0.0);
-  EXPECT_EQ(next_cycle(metrics, mark), Cycle::kNoChange);
-  EXPECT_EQ(take_activations(a), 0);
-  EXPECT_EQ(take_activations(b), 0);
-
-  TestClient c = connect(hw, "c", 3, adopt);  // arrival
-  rm.poll(0.0);
-  EXPECT_EQ(next_cycle(metrics, mark), Cycle::kFull);
-  EXPECT_EQ(take_activations(a), 1);
-  EXPECT_EQ(take_activations(b), 1);
-  EXPECT_EQ(take_activations(c), 1);
-
-  ASSERT_TRUE(a.app->send(ipc::Message(ipc::Deregister{})).ok());  // departure
-  rm.poll(0.0);
-  EXPECT_EQ(next_cycle(metrics, mark), Cycle::kFull);
-  EXPECT_EQ(take_activations(b), 1);
-  EXPECT_EQ(take_activations(c), 1);
 }
 
 // ---------------------------------------------------------------------------

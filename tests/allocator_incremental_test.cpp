@@ -701,7 +701,7 @@ TEST(SteadyStateAllocationsSession, SessionCycleIsHeapAllocationFree) {
   }
 
   Allocator allocator(hw, SolverKind::kLagrangian);
-  AllocationSession session("rm", nullptr, nullptr);  // no sinks: the hot path stays pure
+  AllocationSession session(nullptr, nullptr);  // no sinks: the hot path stays pure
   auto cycle = [&](bool first_rebuilt) {
     session.begin(groups.size(), 0.0);
     for (std::size_t g = 0; g < groups.size(); ++g)

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -359,6 +360,43 @@ TEST(RmServerListen, FailsWhenTheEventLoopCannotBeCreated) {
   ASSERT_FALSE(listening.ok());
   EXPECT_NE(listening.error().message.find("event loop unavailable"), std::string::npos)
       << listening.error().message;
+}
+
+// A long-lived app resubmits its table again and again, as rmbench desktop's
+// long-lived apps do (16–24 points at 15/s). After an RM restart its replay
+// must still restore the table: the RM keeps the latest point per ERV, so
+// the replay needs only that, while the whole submission history — 100 800
+// points here — is more than the decoder accepts in one message.
+TEST(FaultReplay, RestartedRmRegainsALongLivedAppsTable) {
+  platform::HardwareDescription hw = platform::raptor_lake();
+  World world(hw, rm_options());
+  App* app = world.spawn(app_config("veteran", 3, 1), FaultPlan::clean());
+  // 24 points; utilities end in .5, so none equals a fair-share point's
+  // (utility = thread count).
+  std::vector<ipc::OperatingPointsMsg::Point> table;
+  for (int p = 0; p < 6; ++p)
+    for (int e = 1; e <= 4; ++e)
+      table.push_back({platform::ExtendedResourceVector::from_threads(hw, {p, e}),
+                       10.0 * (p + e) + 0.5, 2.0 + p + e});
+  world.run(0.5);
+  ASSERT_TRUE(app->client->registered());
+  for (int i = 0; i < 4200; ++i) {
+    ASSERT_TRUE(app->client->submit_operating_points(table).ok());
+    if (i % 200 == 199) world.step(0.05);
+  }
+  world.run(0.5);
+
+  world.restart_rm();
+  world.run(3.0);
+  ASSERT_TRUE(app->client->registered());
+  EXPECT_EQ(app->client->reconnect_count(), 1);
+  std::optional<core::OperatingPoint> held = world.rm().current_point("veteran");
+  ASSERT_TRUE(held.has_value());
+  bool from_table = false;
+  for (const ipc::OperatingPointsMsg::Point& point : table)
+    from_table |= point.erv == held->erv && point.utility == held->nfc.utility;
+  EXPECT_TRUE(from_table) << "the restarted RM holds a fair-share point ("
+                          << held->erv.to_string(hw) << "), not one of the app's";
 }
 
 // ---------------------------------------------------------------------------

@@ -255,11 +255,10 @@ TEST(LintFixtures, R6EventLoopHotPaths) {
 }
 
 TEST(LintFixtures, R6ParallelSolverHotPaths) {
-  // Fixtures shaped like the deterministic worker-pool kernel and the
-  // incremental λ iteration (src/common/parallel_for.cpp and
-  // src/harp/allocator.cpp are hot-path annotated): per-block scratch,
-  // per-iteration pick buffers, and per-lane labels must be hoisted into the
-  // caller-owned workspace.
+  // Fixtures shaped like a worker-pool kernel and the incremental λ
+  // iteration (src/harp/allocator.cpp is hot-path annotated): per-block
+  // scratch, per-iteration pick buffers, and per-lane labels must be hoisted
+  // into the caller-owned workspace.
   expect_exact({fixture("r6_parallel_bad.cpp"), fixture("r6_parallel_good.cpp")}, {"r6"});
 }
 

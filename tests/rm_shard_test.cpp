@@ -1,16 +1,18 @@
 // Tests for the sharded multi-RM scale-out (src/harp/rm_shard.hpp): budget
-// conservation across rebalances, λ-drift core migration, the 200-seed
-// allocation bit-equivalence between a single RmServer and a ShardedRmServer
-// with rebalancing disabled, per-shard fault/lease isolation, shard
-// telemetry, and a threaded smoke run. Also registered under the `race`
-// ctest label so the HARP_RACE_CHECK / TSan CI job runs the whole suite.
+// conservation across rebalances, λ-drift core migration, a seeded churn
+// oracle that no core is ever granted to two live apps across shards,
+// per-shard fault/lease isolation, shard telemetry, and a threaded smoke
+// run. Also registered under the `race` ctest label so the HARP_RACE_CHECK /
+// TSan CI job runs the whole suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -94,34 +96,10 @@ void expect_partition(const std::vector<std::vector<std::vector<int>>>& budgets,
   }
 }
 
-std::string activation_to_string(const ActivateMsg& msg) {
-  std::string out = "erv[";
-  for (int t = 0; t < msg.erv.num_types(); ++t)
-    out += std::to_string(msg.erv.threads(t)) + " ";
-  out += "] cores[";
-  for (const auto& grant : msg.cores)
-    out += std::to_string(grant.type) + ":" + std::to_string(grant.core) + "x" +
-           std::to_string(grant.threads) + " ";
-  out += "] par=" + std::to_string(msg.parallelism);
-  return out;
-}
-
-bool same_activation(const ActivateMsg& a, const ActivateMsg& b) {
-  if (!(a.erv == b.erv) || a.parallelism != b.parallelism || a.rebalance != b.rebalance ||
-      a.cores.size() != b.cores.size())
-    return false;
-  for (std::size_t i = 0; i < a.cores.size(); ++i)
-    if (a.cores[i].type != b.cores[i].type || a.cores[i].core != b.cores[i].core ||
-        a.cores[i].threads != b.cores[i].threads)
-      return false;
-  return true;
-}
-
 TEST(ShardedRm, InitialBudgetsPartitionPlatform) {
   platform::HardwareDescription hw = platform::raptor_lake();
   ShardedRmOptions options;
   options.num_shards = 3;
-  options.rebalance = RebalanceMode::kLambdaDrift;
   ShardedRmServer rm(hw, options);
   EXPECT_EQ(rm.shard_count(), 3);
   expect_partition(rm.budgets(), hw);
@@ -142,84 +120,6 @@ TEST(ShardedRm, RoundRobinAdoptionSpreadsClients) {
   EXPECT_EQ(rm.shard(1).client_count(), 2u);
 }
 
-// The headline determinism property: with rebalancing disabled the
-// coordinator solves the identical MMKP instance a single server would, so
-// every client receives a bit-identical activation — across 200 seeded
-// random workloads.
-TEST(ShardedRm, DisabledModeMatchesSingleServerOver200Seeds) {
-  platform::HardwareDescription hw = platform::raptor_lake();
-  for (int seed = 1; seed <= 200; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 2654435761u + 17);
-    int n_clients = rng.uniform_int(1, 5);
-    std::vector<std::vector<OperatingPointsMsg::Point>> specs;
-    for (int c = 0; c < n_clients; ++c) {
-      int n_points = rng.uniform_int(1, 3);
-      std::vector<OperatingPointsMsg::Point> points;
-      for (int p = 0; p < n_points; ++p) {
-        int p_threads = rng.uniform_int(0, 8);
-        int e_threads = rng.uniform_int(0, 8);
-        if (p_threads == 0 && e_threads == 0) p_threads = 1;
-        points.push_back(point(hw, p_threads, e_threads,
-                               1.0 + rng.uniform_int(0, 99),
-                               1.0 + rng.uniform_int(0, 49)));
-      }
-      specs.push_back(std::move(points));
-    }
-
-    RmServerOptions server_options;
-    server_options.lease_seconds = 0;
-
-    // Single server.
-    std::vector<TestClient> single_clients;
-    {
-      RmServer rm(hw, server_options);
-      for (int c = 0; c < n_clients; ++c) {
-        std::unique_ptr<ipc::Channel> rm_end;
-        single_clients.push_back(
-            make_client("app" + std::to_string(c), 100 + c, specs[static_cast<std::size_t>(c)],
-                        &rm_end));
-        rm.adopt_channel(std::move(rm_end));
-      }
-      rm.poll(0.0);
-      rm.poll(0.0);
-      for (TestClient& client : single_clients) drain(client);
-    }
-
-    // Sharded, rebalance disabled, same adoption order.
-    std::vector<TestClient> sharded_clients;
-    {
-      ShardedRmOptions options;
-      options.num_shards = 3;
-      options.rebalance = RebalanceMode::kDisabled;
-      options.server = server_options;
-      ShardedRmServer rm(hw, options);
-      for (int c = 0; c < n_clients; ++c) {
-        std::unique_ptr<ipc::Channel> rm_end;
-        sharded_clients.push_back(
-            make_client("app" + std::to_string(c), 100 + c, specs[static_cast<std::size_t>(c)],
-                        &rm_end));
-        rm.adopt_channel(std::move(rm_end));
-      }
-      rm.poll(0.0);
-      rm.poll(0.0);
-      EXPECT_GE(rm.coordinator_solves(), 1u);
-      for (TestClient& client : sharded_clients) drain(client);
-    }
-
-    for (int c = 0; c < n_clients; ++c) {
-      const TestClient& single = single_clients[static_cast<std::size_t>(c)];
-      const TestClient& sharded = sharded_clients[static_cast<std::size_t>(c)];
-      ASSERT_FALSE(single.activations.empty()) << "seed " << seed << " client " << c;
-      ASSERT_FALSE(sharded.activations.empty()) << "seed " << seed << " client " << c;
-      const ActivateMsg& a = single.activations.back();
-      const ActivateMsg& b = sharded.activations.back();
-      EXPECT_TRUE(same_activation(a, b))
-          << "seed " << seed << " client " << c << "\n  single:  " << activation_to_string(a)
-          << "\n  sharded: " << activation_to_string(b);
-    }
-  }
-}
-
 // λ-drift rebalancing: pile contended clients onto shard 0 while shard 1
 // idles; after the hysteresis window one core must migrate toward the
 // contention, and the budgets must remain an exact partition throughout.
@@ -230,7 +130,6 @@ TEST(ShardedRm, LambdaDriftMovesCoreTowardContention) {
 
   ShardedRmOptions options;
   options.num_shards = 2;
-  options.rebalance = RebalanceMode::kLambdaDrift;
   options.rebalance_min_cycles = 3;
   options.lambda_drift_threshold = 0.25;
   options.server.lease_seconds = 0;
@@ -325,30 +224,43 @@ TEST(ShardedRm, EmitsShardTelemetryAndMetrics) {
   options.server.metrics = &metrics;
   ShardedRmServer rm(hw, options);
 
-  std::unique_ptr<ipc::Channel> rm_end;
-  TestClient client = make_client("traced", 500, {point(hw, 2, 0, 10.0, 5.0)}, &rm_end);
-  rm.adopt_channel(std::move(rm_end));
+  // One client per shard (round-robin), so each shard runs its own solve.
+  std::vector<TestClient> clients;
+  for (int c = 0; c < 2; ++c) {
+    std::unique_ptr<ipc::Channel> rm_end;
+    clients.push_back(make_client("traced" + std::to_string(c), 500 + c,
+                                  {point(hw, 2, 0, 10.0, 5.0)}, &rm_end));
+    rm.adopt_channel(std::move(rm_end));
+  }
   rm.poll(0.0);
   clock.advance(0.1);
   rm.poll(0.1);
 
+  // Each alloc_cycle span must sit inside the shard_cycle span of the shard
+  // that solved it.
   int shard_cycle_begins = 0, shard_cycle_ends = 0;
-  bool saw_shard0 = false, saw_shard1 = false, saw_coordinator = false;
+  std::set<std::string> solved_in;
+  std::string open_shard;
   for (const telemetry::TraceEvent& event : tracer.events()) {
     if (event.type == telemetry::EventType::kShardCycle) {
-      if (event.phase == telemetry::Phase::kBegin) ++shard_cycle_begins;
-      if (event.phase == telemetry::Phase::kEnd) ++shard_cycle_ends;
-      if (event.scope == "shard0") saw_shard0 = true;
-      if (event.scope == "shard1") saw_shard1 = true;
+      if (event.phase == telemetry::Phase::kBegin) {
+        ++shard_cycle_begins;
+        open_shard = event.scope;
+      }
+      if (event.phase == telemetry::Phase::kEnd) {
+        ++shard_cycle_ends;
+        open_shard.clear();
+      }
     }
-    if (event.type == telemetry::EventType::kAllocCycle && event.scope == "coordinator")
-      saw_coordinator = true;
+    if (event.type == telemetry::EventType::kAllocCycle &&
+        event.phase == telemetry::Phase::kBegin) {
+      EXPECT_FALSE(open_shard.empty()) << "alloc_cycle outside any shard cycle";
+      solved_in.insert(open_shard);
+    }
   }
   EXPECT_EQ(shard_cycle_begins, shard_cycle_ends);
   EXPECT_GE(shard_cycle_begins, 4);  // 2 shards x 2 polls
-  EXPECT_TRUE(saw_shard0);
-  EXPECT_TRUE(saw_shard1);
-  EXPECT_TRUE(saw_coordinator);
+  EXPECT_EQ(solved_in, (std::set<std::string>{"shard0", "shard1"}));
 
   std::string snapshot = metrics.text_snapshot();
   EXPECT_NE(snapshot.find("rm_eventloop_cycles_total"), std::string::npos);
@@ -358,6 +270,88 @@ TEST(ShardedRm, EmitsShardTelemetryAndMetrics) {
   EXPECT_NE(snapshot.find("rm_cycle_seconds_shard1"), std::string::npos);
 }
 
+// Joint-grant oracle under seeded churn: registrations (most of them onto
+// shard 0, so λ drifts and cores move), resubmissions and departures. After
+// every lockstep poll, the latest activation each live client holds must
+// never share a (type, core) with another's, and no type may be granted past
+// its capacity — across shards, whatever the budgets did in between. Every
+// table carries a one-thread point and at most 12 apps live on the 24-core
+// platform, so most shard solves grant cores instead of co-allocating.
+TEST(ShardedRm, LiveClientsNeverShareACoreUnderChurn) {
+  platform::HardwareDescription hw = platform::raptor_lake();
+  std::uint64_t total_rebalances = 0;
+  std::uint64_t granted_holders = 0;  // (step, live app holding cores) pairs checked
+  for (int seed = 1; seed <= 64; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 0x9E3779B97F4A7C15ull + 5);
+    ShardedRmOptions options;
+    options.num_shards = rng.uniform_int(2, 4);
+    options.rebalance_min_cycles = 2;
+    options.lambda_drift_threshold = 0.1;
+    options.server.lease_seconds = 0;
+    ShardedRmServer rm(hw, options);
+
+    auto random_points = [&] {
+      std::vector<OperatingPointsMsg::Point> points{point(hw, 0, 1, 1.0, 0.5)};
+      for (int p = rng.uniform_int(1, 3); p > 0; --p) {
+        int p_threads = rng.uniform_int(0, 8);
+        int e_threads = rng.uniform_int(0, 8);
+        if (p_threads == 0 && e_threads == 0) e_threads = 1;
+        points.push_back(point(hw, p_threads, e_threads, 1.0 + rng.uniform_int(0, 99),
+                               1.0 + rng.uniform_int(0, 49)));
+      }
+      return points;
+    };
+
+    std::vector<TestClient> live;
+    int next_pid = 1;
+    for (int step = 0; step < 80; ++step) {
+      const double action = rng.uniform();
+      if (live.empty() || (action < 0.45 && live.size() < 12)) {
+        std::unique_ptr<ipc::Channel> rm_end;
+        const int pid = next_pid++;
+        live.push_back(make_client("churn" + std::to_string(pid), pid, random_points(), &rm_end));
+        if (rng.uniform() < 0.75)
+          rm.adopt_into_shard(0, std::move(rm_end));
+        else
+          rm.adopt_channel(std::move(rm_end));
+      } else if (action < 0.8) {
+        OperatingPointsMsg msg;
+        msg.points = random_points();
+        TestClient& client =
+            live[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(live.size()) - 1))];
+        ASSERT_TRUE(client.app->send(Message(msg)).ok());
+      } else {
+        const std::size_t leaving =
+            static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(live.size()) - 1));
+        ASSERT_TRUE(live[leaving].app->send(Message(ipc::Deregister{})).ok());
+        live.erase(live.begin() + static_cast<long>(leaving));
+      }
+      rm.poll(static_cast<double>(step));
+
+      std::set<std::pair<int, int>> held;  // (type, core)
+      std::vector<int> per_type(hw.core_types.size(), 0);
+      for (TestClient& client : live) {
+        drain(client);
+        if (client.activations.empty()) continue;
+        if (!client.activations.back().cores.empty()) ++granted_holders;
+        for (const ActivateMsg::CoreGrant& grant : client.activations.back().cores) {
+          ASSERT_TRUE(held.insert({grant.type, grant.core}).second)
+              << "seed " << seed << " step " << step << ": core (" << grant.type << ", "
+              << grant.core << ") held by two live apps";
+          ++per_type[static_cast<std::size_t>(grant.type)];
+        }
+      }
+      for (std::size_t t = 0; t < per_type.size(); ++t)
+        ASSERT_LE(per_type[t], hw.core_types[t].core_count)
+            << "seed " << seed << " step " << step << " type " << t;
+      expect_partition(rm.budgets(), hw);
+    }
+    total_rebalances += rm.rebalances();
+  }
+  EXPECT_GE(total_rebalances, 1u);
+  EXPECT_GT(granted_holders, 0u);
+}
+
 // Threaded smoke: shards on their own blocking threads must accept
 // cross-thread adoptions (wakeup path) and deliver activations end to end.
 // Bounded wall-clock wait; also exercised under TSan via the `race` label.
@@ -365,7 +359,6 @@ TEST(ShardedRm, ThreadedShardsDeliverActivations) {
   platform::HardwareDescription hw = platform::raptor_lake();
   ShardedRmOptions options;
   options.num_shards = 2;
-  options.rebalance = RebalanceMode::kLambdaDrift;
   options.server.lease_seconds = 0;
   ShardedRmServer rm(hw, options);
   rm.start_threads();

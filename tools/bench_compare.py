@@ -6,7 +6,7 @@ Usage:
       [--metric warm_seconds_per_cycle] [--threshold 1.2] [--normalize cold_seconds_per_cycle] \
       [--gate apps=1024,candidates=32,core_types=3,solver=lagrangian]
 
-Rows are matched on (apps, candidates, core_types, solver, workers). Only rows
+Rows are matched on (apps, candidates, core_types, solver). Only rows
 present in BOTH files are compared; the gate row must exist in both or the
 script fails. The gate fails when
 
@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 
-KEY_FIELDS = ("apps", "candidates", "core_types", "solver", "workers")
+KEY_FIELDS = ("apps", "candidates", "core_types", "solver")
 
 
 def load_rows(path):
@@ -107,7 +107,7 @@ def main(argv=None):
                 ratio /= ncur / nbase
                 note = f" (normalized by {args.normalize})"
         gated = key in gate_rows
-        label = "x".join(str(v) for v in key[:3]) + f" {key[3]} w{key[4]}"
+        label = "x".join(str(v) for v in key[:3]) + f" {key[3]}"
         print(f"{label:<40} {base * 1e6:>9.1f}u {cur * 1e6:>9.1f}u {ratio:>6.2f}x  "
               f"{'GATE' if gated else '-'}{note}")
         if gated and ratio > args.threshold:

@@ -1,16 +1,18 @@
 // harpd — the HARP resource-manager daemon (§4.3, Fig. 4).
 //
 // A user-space system service, in the spirit of systemd/launchd: it loads
-// the hardware description and any application profiles from a /etc/harp-
-// style configuration directory, listens on a Unix socket for libharp
+// the hardware description from a /etc/harp-style configuration directory
+// (or uses a built-in platform), listens on a Unix socket for libharp
 // registrations, and manages the registered applications' resources.
 //
 // Usage:
 //   harpd --config <dir> [--socket <path>] [--verbose]
 //   harpd --hardware raptor-lake|odroid-xu3e [--socket <path>]
 //
-// With --config, profiles in <dir>/apps/*.json pre-seed the clients'
-// operating-point tables when they register under a matching name.
+// With --config, only <dir>'s hardware description is read. Profiles in
+// <dir>/apps/*.json are not loaded: a client's table is what it submits,
+// and a client without one gets the fair-share group (pre-seeding tables
+// from the profiles is ROADMAP.md item 11).
 #include <cerrno>
 #include <chrono>
 #include <cmath>
