@@ -594,24 +594,37 @@ void Allocator::solve_lagrangian(SolveWorkspace& ws, bool incremental,
     const std::vector<double>& sorted = ws.sorted_costs_;
     std::vector<double>& merged = ws.sorted_scratch_;
     merged.resize(sorted.size());
+    // A retired value missing from the mirror would leave more values than
+    // slots; every write checks its slot first, so a broken invariant
+    // fails the check below instead of writing past the buffer.
     std::size_t io = 0, in = 0, k = 0;
+    bool overflow = false;
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       const double v = sorted[i];
       if (io < old_vals.size() && old_vals[io] == v) {
         ++io;  // remove exactly one instance per retired value
         continue;
       }
-      while (in < new_vals.size() && new_vals[in] <= v) merged[k++] = new_vals[in++];
+      while (in < new_vals.size() && new_vals[in] <= v && k < merged.size())
+        merged[k++] = new_vals[in++];
+      if (k == merged.size()) {
+        overflow = true;
+        break;
+      }
       merged[k++] = v;
     }
-    while (in < new_vals.size()) merged[k++] = new_vals[in++];
-    HARP_CHECK(io == old_vals.size() && k == sorted.size());
+    while (in < new_vals.size() && k < merged.size()) merged[k++] = new_vals[in++];
+    HARP_CHECK(!overflow && io == old_vals.size() && in == new_vals.size() &&
+               k == sorted.size());
     ws.sorted_costs_.swap(merged);
     cost_scale = std::max(ws.sorted_costs_[ws.sorted_costs_.size() / 2], 1e-9);
   }
 
   std::vector<std::size_t>& best_feasible = ws.best_feasible_;
   best_feasible.clear();
+  // The first feasible selection is kept whatever its cost: with +∞ costs
+  // (a table whose utilities span 1e300) "cost < +∞" alone would reject
+  // every feasible selection and force co-allocation.
   double best_feasible_cost = std::numeric_limits<double>::infinity();
   std::vector<std::size_t>& last_selection = ws.selection_;
   last_selection.assign(num_groups, 0);
@@ -728,7 +741,7 @@ void Allocator::solve_lagrangian(SolveWorkspace& ws, bool incremental,
       double cost = 0.0;
       for (std::size_t g = 0; g < num_groups; ++g)
         cost += ws.vec_costs_[ws.cand_off_[g] + last_selection[g]];
-      if (cost < best_feasible_cost) {
+      if (best_feasible.empty() || cost < best_feasible_cost) {
         best_feasible_cost = cost;
         best_feasible = last_selection;
       }
@@ -785,7 +798,7 @@ void Allocator::solve_lagrangian(SolveWorkspace& ws, bool incremental,
     double cost = 0.0;
     for (std::size_t g = 0; g < num_groups; ++g)
       cost += ws.vec_costs_[ws.cand_off_[g] + trial[g]];
-    if (cost < best_feasible_cost) {
+    if (best_feasible.empty() || cost < best_feasible_cost) {
       best_feasible_cost = cost;
       best_feasible = trial;
     }

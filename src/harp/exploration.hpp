@@ -17,9 +17,11 @@
 // `measurement_interval_s` (paper: 20 × 50 ms).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "src/harp/candidates.hpp"
 #include "src/harp/operating_point.hpp"
 #include "src/mlmodels/regressors.hpp"
 #include "src/platform/resource_vector.hpp"
@@ -53,6 +55,9 @@ class NfcModel {
   bool trained() const { return trained_; }
 
   NonFunctional predict(const platform::ExtendedResourceVector& erv) const;
+  /// predict() from the monomial expansion of the ERV's feature row
+  /// (CandidateCatalog::expansion), bit-identical and allocation-free.
+  NonFunctional predict_expanded(const double* monomials, std::size_t count) const;
 
  private:
   ml::PolynomialRegressor utility_;
@@ -63,11 +68,15 @@ class NfcModel {
 /// Stage machine + candidate selection for one application.
 class AppExplorer {
  public:
+  /// Explores `catalog`, which must be the coarse catalog of `hw` expanded
+  /// at config.regression_degree; the two-argument form builds its own.
+  AppExplorer(const platform::HardwareDescription& hw, ExplorationConfig config,
+              std::shared_ptr<const CandidateCatalog> catalog);
   AppExplorer(const platform::HardwareDescription& hw, ExplorationConfig config);
 
   const ExplorationConfig& config() const { return config_; }
 
-  /// Number of fully measured configurations in `table`.
+  /// Number of fully measured configurations in `table` (counted in place).
   int measured_configs(const OperatingPointTable& table) const;
   MaturityStage stage(const OperatingPointTable& table) const;
 
@@ -78,15 +87,13 @@ class AppExplorer {
       const OperatingPointTable& table, const std::vector<int>& core_budget) const;
 
  private:
-  std::optional<platform::ExtendedResourceVector> select_next_impl(
-      const OperatingPointTable& table, const std::vector<int>& core_budget) const;
-  std::vector<platform::ExtendedResourceVector> in_budget_candidates(
-      const std::vector<int>& core_budget) const;
+  /// Catalog index of the next configuration, or nullopt.
+  std::optional<std::size_t> select_next_impl(const OperatingPointTable& table,
+                                              const std::vector<int>& core_budget) const;
 
   platform::HardwareDescription hw_;  // owned copy; callers may pass temporaries
   ExplorationConfig config_;
-  std::vector<platform::ExtendedResourceVector> all_candidates_;
-  std::size_t feature_dim_;
+  std::shared_ptr<const CandidateCatalog> catalog_;
 };
 
 }  // namespace harp::core

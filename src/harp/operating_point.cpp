@@ -1,6 +1,8 @@
 #include "src/harp/operating_point.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "src/common/check.hpp"
 
@@ -8,8 +10,15 @@ namespace harp::core {
 
 double energy_utility_cost(const NonFunctional& nfc, double utility_max) {
   HARP_CHECK(utility_max > 0.0);
+  // Zero power costs nothing at any utility. Computed, it would be 0·∞ =
+  // NaN once v* is so small that 1/v* overflows (utility 0 beside a utility
+  // maximum of 1e300).
+  if (nfc.power_w == 0.0) return nfc.power_w;
   double v_star = std::max(nfc.utility, 1e-9) / utility_max;
-  return (nfc.power_w / v_star) * (1.0 / v_star);
+  double zeta = (nfc.power_w / v_star) * (1.0 / v_star);
+  // Only non-finite inputs get here with a NaN: such a point is never worth
+  // choosing.
+  return std::isnan(zeta) ? std::numeric_limits<double>::infinity() : zeta;
 }
 
 void OperatingPointTable::record_measurement(const platform::ExtendedResourceVector& erv,
@@ -54,6 +63,13 @@ std::vector<OperatingPoint> OperatingPointTable::points(int min_measurements) co
   return out;
 }
 
+std::size_t OperatingPointTable::count_points(int min_measurements) const {
+  std::size_t count = 0;
+  for (const auto& [erv, entry] : points_)
+    if (entry.point.measurements >= min_measurements) ++count;
+  return count;
+}
+
 double OperatingPointTable::utility_max() const {
   double best = 0.0;
   for (const auto& [erv, entry] : points_) best = std::max(best, entry.point.nfc.utility);
@@ -96,6 +112,8 @@ Result<OperatingPointTable> OperatingPointTable::from_json(const json::Value& va
     auto erv = platform::ExtendedResourceVector::from_json(pv.at("resources"));
     if (!erv.ok()) return Result<OperatingPointTable>(erv.error());
     NonFunctional nfc{pv.at("utility").as_number(), pv.at("power").as_number()};
+    if (!std::isfinite(nfc.utility) || !std::isfinite(nfc.power_w))
+      return Result<OperatingPointTable>(make_error("parse: non-finite characteristics"));
     if (nfc.utility < 0.0 || nfc.power_w < 0.0)
       return Result<OperatingPointTable>(make_error("parse: negative characteristics"));
     table.set_point(erv.value(), nfc);

@@ -1,5 +1,7 @@
 #include "src/ipc/messages.hpp"
 
+#include <cmath>
+
 #include "src/common/check.hpp"
 #include "src/ipc/wire.hpp"
 
@@ -124,8 +126,10 @@ Result<Message> decode(MessageType type, const std::vector<std::uint8_t>& payloa
         if (!read_erv(r, msg.points[i].erv) || !r.f64(msg.points[i].utility) ||
             !r.f64(msg.points[i].power_w))
           return proto_error("malformed operating point");
-        if (msg.points[i].utility < 0.0 || msg.points[i].power_w < 0.0)
-          return proto_error("negative operating-point characteristics");
+        // !(x >= 0) also rejects NaN; +∞ is checked apart.
+        const double utility = msg.points[i].utility, power = msg.points[i].power_w;
+        if (!(utility >= 0.0) || !(power >= 0.0) || std::isinf(utility) || std::isinf(power))
+          return proto_error("negative or non-finite operating-point characteristics");
       }
       if (!r.at_end()) return proto_error("trailing bytes in OperatingPoints");
       return Message(msg);
@@ -155,6 +159,7 @@ Result<Message> decode(MessageType type, const std::vector<std::uint8_t>& payloa
     case MessageType::kUtilityReport: {
       UtilityReport msg;
       if (!r.f64(msg.utility) || !r.at_end()) return proto_error("malformed UtilityReport");
+      if (!std::isfinite(msg.utility)) return proto_error("non-finite UtilityReport");
       return Message(msg);
     }
     case MessageType::kDeregister: {

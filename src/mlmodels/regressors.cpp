@@ -102,8 +102,16 @@ double PolynomialRegressor::predict(const std::vector<double>& x) const {
   HARP_CHECK_MSG(trained(), "predict() before fit()");
   HARP_CHECK(x.size() == input_dim_);
   std::vector<double> features = expand(x, degree_);
-  HARP_CHECK(features.size() == coef_.size());
-  return linalg::dot(features, coef_);
+  return predict_expanded(features.data(), features.size());
+}
+
+double PolynomialRegressor::predict_expanded(const double* monomials, std::size_t count) const {
+  HARP_CHECK_MSG(trained(), "predict() before fit()");
+  HARP_CHECK(count == coef_.size());
+  // linalg::dot's left-to-right sum.
+  double s = 0.0;
+  for (std::size_t i = 0; i < count; ++i) s += monomials[i] * coef_[i];
+  return s;
 }
 
 // ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ class PolynomialRegressor : public Regressor {
 
   int degree() const { return degree_; }
 
+  /// predict() on an input whose expand() is already at hand: `monomials`
+  /// holds expand(x, degree()), so callers that predict the same inputs
+  /// under many fits expand them once. Bit-identical to predict(x).
+  double predict_expanded(const double* monomials, std::size_t count) const;
+
   /// Expand an input vector into its monomial features (all monomials of
   /// total degree <= degree, including the constant 1). Exposed for tests.
   static std::vector<double> expand(const std::vector<double>& x, int degree);

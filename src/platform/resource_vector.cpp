@@ -4,6 +4,7 @@
 #include "src/platform/resource_vector.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "src/common/check.hpp"
@@ -250,6 +251,27 @@ std::vector<ExtendedResourceVector> enumerate_coarse_points(const HardwareDescri
     if (t == index.size()) break;
   }
   return out;
+}
+
+std::uint64_t coarse_point_count(const HardwareDescription& hw) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  // Saturating a·b.
+  auto mul = [](std::uint64_t a, std::uint64_t b) {
+    return b != 0 && a > kMax / b ? kMax : a * b;
+  };
+  std::uint64_t product = 1;
+  for (const CoreType& t : hw.core_types) {
+    // C(n + s, s) = Π_{k=1..s} (n + k) / k; each partial product is itself
+    // a binomial coefficient, so every division is exact.
+    std::uint64_t binomial = 1;
+    for (int k = 1; k <= t.smt_width; ++k) {
+      std::uint64_t grown = mul(binomial, static_cast<std::uint64_t>(t.core_count + k));
+      if (grown == kMax) return kMax;
+      binomial = grown / static_cast<std::uint64_t>(k);
+    }
+    product = mul(product, binomial);
+  }
+  return product == kMax ? kMax : product - 1;
 }
 
 CoreAllocation CoreAllocation::empty(const HardwareDescription& hw) {

@@ -7,6 +7,7 @@
 // at 1 thread, two P-cores at 2 threads, four E-cores.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,6 +99,11 @@ class ExtendedResourceVector {
 /// all per-type distributions of cores over SMT levels. For Raptor Lake this
 /// yields 764 candidates, for the Odroid 24 — the exploration search spaces.
 std::vector<ExtendedResourceVector> enumerate_coarse_points(const HardwareDescription& hw);
+
+/// How many points enumerate_coarse_points(hw) would return, computed
+/// without enumerating: Π_t C(n_t + s_t, s_t) − 1 for n_t cores of SMT
+/// width s_t. Saturates at UINT64_MAX on platforms too wide to count.
+std::uint64_t coarse_point_count(const HardwareDescription& hw);
 
 /// A concrete, spatially isolated allocation: which physical cores an
 /// application received and how many hardware threads it may run on each.

@@ -3,6 +3,8 @@
 // seeded fuzz sweep over the frame decoder.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/common/rng.hpp"
 #include "src/ipc/fault_injection.hpp"
 #include "src/ipc/messages.hpp"
@@ -148,6 +150,44 @@ TEST(Messages, DecodeRejectsMalformedPayloads) {
   // the sign bit of the last 8-byte double (power) — decode must reject.
   payload[payload.size() - 1] |= 0x80;
   EXPECT_FALSE(decode(MessageType::kOperatingPoints, payload).ok());
+}
+
+/// Payload of one encoded message (the frame without its header).
+std::vector<std::uint8_t> payload_of(const Message& message) {
+  std::vector<std::uint8_t> frame = encode(message);
+  return {frame.begin() + static_cast<long>(kFrameHeaderSize), frame.end()};
+}
+
+TEST(Messages, DecodeRejectsNonFiniteCharacteristics) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double utility, power_w;
+  };
+  for (const Case& c : {Case{nan, 1.0}, Case{1.0, nan}, Case{inf, 1.0}, Case{1.0, inf},
+                        Case{-inf, 1.0}, Case{1.0, -0.5}}) {
+    OperatingPointsMsg msg;
+    msg.points.push_back({sample_erv(), 2.0, 3.0});  // a valid point first
+    msg.points.push_back({sample_erv(), c.utility, c.power_w});
+    Result<Message> decoded = decode(MessageType::kOperatingPoints, payload_of(Message(msg)));
+    ASSERT_FALSE(decoded.ok()) << c.utility << " " << c.power_w;
+    // A protocol error: the RM counts it as a malformed-frame strike.
+    EXPECT_EQ(decoded.error().message.rfind("proto:", 0), 0u) << decoded.error().message;
+  }
+  // Extreme finite values stay legal.
+  for (double v : {0.0, 1e-300, std::numeric_limits<double>::denorm_min(), 1e300,
+                   std::numeric_limits<double>::max()}) {
+    OperatingPointsMsg msg;
+    msg.points.push_back({sample_erv(), v, v});
+    EXPECT_TRUE(decode(MessageType::kOperatingPoints, payload_of(Message(msg))).ok()) << v;
+  }
+  for (double v : {nan, inf, -inf}) {
+    Result<Message> decoded =
+        decode(MessageType::kUtilityReport, payload_of(Message(UtilityReport{v})));
+    ASSERT_FALSE(decoded.ok()) << v;
+    EXPECT_EQ(decoded.error().message.rfind("proto:", 0), 0u) << decoded.error().message;
+  }
+  EXPECT_TRUE(decode(MessageType::kUtilityReport, payload_of(Message(UtilityReport{0.0}))).ok());
 }
 
 TEST(Messages, HeartbeatRoundTrip) {

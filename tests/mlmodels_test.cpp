@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
 #include "src/mlmodels/pareto.hpp"
 #include "src/mlmodels/regressors.hpp"
+#include "src/platform/hardware.hpp"
+#include "src/platform/resource_vector.hpp"
 
 namespace harp::ml {
 namespace {
@@ -158,6 +161,132 @@ TEST(Pareto, HigherDimensionalDominance) {
   std::vector<std::vector<double>> points{{1, 1, 5}, {1, 1, 4}, {0, 2, 9}};
   std::vector<std::size_t> front = pareto_front(points);
   EXPECT_EQ(front, (std::vector<std::size_t>{1, 2}));
+}
+
+TEST(Pareto, FlatRowsRejectNonFiniteValues) {
+  SkylineScratch scratch;
+  std::vector<std::size_t> front;
+  const double nan_row[] = {1.0, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW(pareto_front(nan_row, 1, 2, scratch, front), CheckFailure);
+  const double inf_row[] = {std::numeric_limits<double>::infinity(), 0.0, 1.0, 1.0};
+  EXPECT_THROW(pareto_front(inf_row, 2, 2, scratch, front), CheckFailure);
+  pareto_front(nullptr, 0, 4, scratch, front);
+  EXPECT_TRUE(front.empty());
+}
+
+// The O(n²·d) pairwise scan the skyline replaced, kept as its oracle.
+std::vector<std::size_t> pairwise_front(const std::vector<std::vector<double>>& rows) {
+  auto dominates = [](const std::vector<double>& a, const std::vector<double>& b) {
+    bool strictly = false;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (a[k] > b[k]) return false;
+      if (a[k] < b[k]) strictly = true;
+    }
+    return strictly;
+  };
+  std::vector<std::size_t> front;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < rows.size() && !dominated; ++j)
+      if (j != i && dominates(rows[j], rows[i])) dominated = true;
+    if (!dominated) front.push_back(i);
+  }
+  return front;
+}
+
+/// Both entry points (nested rows, and flat rows through one scratch reused
+/// across instances) against the pairwise oracle.
+void expect_matches_oracle(const std::vector<std::vector<double>>& rows, SkylineScratch& scratch) {
+  const std::vector<std::size_t> expected = pairwise_front(rows);
+  EXPECT_EQ(pareto_front(rows), expected);
+  const std::size_t d = rows.empty() ? 0 : rows.front().size();
+  std::vector<double> flat;
+  for (const std::vector<double>& row : rows) flat.insert(flat.end(), row.begin(), row.end());
+  std::vector<std::size_t> front{42};  // stale content must be replaced
+  pareto_front(flat.data(), rows.size(), d, scratch, front);
+  EXPECT_EQ(front, expected);
+}
+
+TEST(Pareto, SkylineMatchesPairwiseOracleOnSeededInstances) {
+  Rng rng(2026);
+  SkylineScratch scratch;
+  for (int instance = 0; instance < 2000; ++instance) {
+    // Mostly small instances, one in ten up to 900 rows.
+    const int n = instance % 10 == 0 ? rng.uniform_int(0, 900) : rng.uniform_int(0, 120);
+    const std::size_t d = static_cast<std::size_t>(rng.uniform_int(2, 6));
+    const int kind = instance % 6;
+    std::vector<std::vector<double>> distinct;
+    auto draw_row = [&](int row_kind) {
+      std::vector<double> row(d);
+      for (std::size_t k = 0; k < d; ++k) {
+        switch (row_kind) {
+          case 0: row[k] = rng.uniform(-1.0, 1.0); break;         // continuous
+          case 1: row[k] = rng.uniform_int(0, 3); break;          // integer, heavy ties
+          case 2: row[k] = k < 2 ? rng.uniform(0.0, 10.0)          // (−utility, power)
+                                 : rng.uniform_int(0, 8); break;  // then core counts
+          default: row[k] = rng.uniform_int(0, 1) == 0 ? 0.0 : -0.0; break;  // signed zeros
+        }
+      }
+      return row;
+    };
+    std::vector<std::vector<double>> rows;
+    for (int i = 0; i < n; ++i) {
+      switch (kind) {
+        case 0: case 1: case 2: rows.push_back(draw_row(kind)); break;
+        case 3: {  // duplicates: rows drawn with repetition from a small pool
+          if (distinct.empty())
+            for (int j = 0; j < 1 + n / 8; ++j) distinct.push_back(draw_row(j % 3));
+          rows.push_back(distinct[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<int>(distinct.size()) - 1))]);
+          break;
+        }
+        case 4:  // all rows equal
+          rows.push_back(i == 0 ? draw_row(0) : rows.front());
+          break;
+        default: {  // anti-correlated: most rows on the front, some exact ties
+          std::vector<double> row = draw_row(1);
+          row[0] = std::round(rng.uniform(0.0, 20.0));
+          row[1] = 20.0 - row[0];
+          rows.push_back(std::move(row));
+        }
+      }
+    }
+    SCOPED_TRACE("instance " + std::to_string(instance) + " kind " + std::to_string(kind));
+    expect_matches_oracle(rows, scratch);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(Pareto, SkylineMatchesPairwiseOracleOnCoarsePointRows) {
+  // The rows the RM filters: (−utility, power, cores per type) over every
+  // coarse configuration, with fair-share utilities (threads: heavy ties)
+  // and with noisy surrogate-like ones.
+  SkylineScratch scratch;
+  Rng rng(7);
+  for (const platform::HardwareDescription& hw :
+       {platform::raptor_lake(), platform::odroid_xu3e()}) {
+    const std::vector<platform::ExtendedResourceVector> points =
+        platform::enumerate_coarse_points(hw);
+    for (int variant = 0; variant < 20; ++variant) {
+      std::vector<std::vector<double>> rows;
+      for (const platform::ExtendedResourceVector& erv : points) {
+        double utility = erv.total_threads();
+        double power = 0.0;
+        for (int t = 0; t < erv.num_types(); ++t)
+          power += hw.core_types[static_cast<std::size_t>(t)].active_power_w * erv.cores_used(t);
+        if (variant > 0) {
+          utility = std::sqrt(utility) * rng.noise_factor(0.1);
+          power *= rng.noise_factor(0.1);
+          if (variant % 2 == 0) utility = std::round(utility * 4.0) / 4.0;
+        }
+        std::vector<double> row{-utility, power};
+        for (int t = 0; t < erv.num_types(); ++t) row.push_back(erv.cores_used(t));
+        rows.push_back(std::move(row));
+      }
+      SCOPED_TRACE(hw.name + " variant " + std::to_string(variant));
+      expect_matches_oracle(rows, scratch);
+    }
+  }
 }
 
 TEST(Igd, ZeroForIdenticalFronts) {

@@ -4,8 +4,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 
 #include "src/common/check.hpp"
+#include "src/common/rng.hpp"
 #include "src/harp/dse.hpp"
 #include "src/harp/operating_point.hpp"
 #include "src/model/catalog.hpp"
@@ -46,6 +49,32 @@ TEST(Cost, GuardsDegenerateInput) {
   EXPECT_THROW(energy_utility_cost({1.0, 1.0}, 0.0), CheckFailure);
   // Non-positive utility is clamped rather than dividing by zero.
   EXPECT_TRUE(std::isfinite(energy_utility_cost({0.0, 5.0}, 10.0)));
+}
+
+TEST(Cost, NeverNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Zero power beside a huge utility maximum: 1/v* overflows, and the
+  // formula alone would give 0·∞ = NaN.
+  EXPECT_EQ(energy_utility_cost({0.0, 0.0}, 1e300), 0.0);
+  EXPECT_EQ(energy_utility_cost({0.0, 0.0}, std::numeric_limits<double>::max()), 0.0);
+  EXPECT_EQ(energy_utility_cost({0.0, 1.0}, 1e300), inf);
+  // Non-finite characteristics (never accepted from the wire) cost +∞.
+  EXPECT_EQ(energy_utility_cost({nan, 1.0}, 10.0), inf);
+  EXPECT_EQ(energy_utility_cost({1.0, nan}, 10.0), inf);
+  EXPECT_EQ(energy_utility_cost({inf, 1.0}, inf), inf);
+}
+
+TEST(Cost, BitIdenticalToEquationTwoOnOrdinaryInputs) {
+  Rng rng(5);
+  for (int i = 0; i < 10000; ++i) {
+    const double utility_max = rng.uniform(1e-6, 1e6);
+    const NonFunctional nfc{rng.uniform(0.0, utility_max), rng.uniform(0.0, 500.0)};
+    const double v_star = std::max(nfc.utility, 1e-9) / utility_max;
+    const double expected = (nfc.power_w / v_star) * (1.0 / v_star);
+    const double got = energy_utility_cost(nfc, utility_max);
+    ASSERT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0) << nfc.utility << " " << nfc.power_w;
+  }
 }
 
 TEST(Table, RecordAppliesEmaSmoothing) {
@@ -117,6 +146,24 @@ TEST(Table, FromJsonValidates) {
   EXPECT_FALSE(OperatingPointTable::from_json(
                    doc(R"({"application":"x","operating_points":[{"resources":[[1]],"utility":-1,"power":2}]})"))
                    .ok());
+  // Non-finite characteristics (a JSON number like 1e999 parses to +∞).
+  platform::HardwareDescription hw = platform::raptor_lake();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    for (const char* field : {"utility", "power"}) {
+      json::Object point;
+      point["resources"] = platform::ExtendedResourceVector::from_threads(hw, {1, 0}).to_json();
+      point["utility"] = 1.0;
+      point["power"] = 1.0;
+      point[field] = bad;
+      json::Object root;
+      root["application"] = "x";
+      root["operating_points"] = json::Value(json::Array{json::Value(std::move(point))});
+      Result<OperatingPointTable> table = OperatingPointTable::from_json(json::Value(std::move(root)));
+      ASSERT_FALSE(table.ok()) << field << " " << bad;
+      EXPECT_NE(table.error().message.find("non-finite"), std::string::npos);
+    }
+  }
 }
 
 TEST(Dse, ProducesParetoOptimalTable) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "src/common/check.hpp"
@@ -152,6 +154,40 @@ TEST(Enumerate, RaptorLakeCountIsExact) {
   // P: (n1,n2) with n1+n2 ≤ 8 → 45 options; E: 17 options; minus zero.
   std::vector<ExtendedResourceVector> points = enumerate_coarse_points(raptor_lake());
   EXPECT_EQ(points.size(), 45u * 17u - 1u);
+}
+
+TEST(CoarsePoints, CountMatchesEnumerationWithoutEnumerating) {
+  EXPECT_EQ(coarse_point_count(raptor_lake()), 764u);
+  EXPECT_EQ(coarse_point_count(odroid_xu3e()), 24u);
+  // Small mixed platforms: the closed form equals the enumeration.
+  for (int smt = 1; smt <= 3; ++smt) {
+    for (int cores = 0; cores <= 5; ++cores) {
+      HardwareDescription hw;
+      CoreType a;
+      a.name = "a";
+      a.core_count = cores;
+      a.smt_width = smt;
+      CoreType b = a;
+      b.name = "b";
+      b.core_count = 3;
+      b.smt_width = 2;
+      hw.core_types = {a, b};
+      EXPECT_EQ(coarse_point_count(hw), enumerate_coarse_points(hw).size())
+          << cores << " cores, SMT " << smt;
+    }
+  }
+  // 3×1024 SMT-1: 1025³ − 1, counted, never built.
+  HardwareDescription wide;
+  for (int t = 0; t < 3; ++t) {
+    CoreType type;
+    type.name = std::string(1, static_cast<char>('A' + t));
+    type.core_count = 1024;
+    wide.core_types.push_back(type);
+  }
+  EXPECT_EQ(coarse_point_count(wide), 1076890624u);
+  // Too wide to count: saturates instead of wrapping.
+  for (CoreType& type : wide.core_types) type.smt_width = 8;
+  EXPECT_EQ(coarse_point_count(wide), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Enumerate, AllPointsUniqueAndFeasible) {
