@@ -1,6 +1,6 @@
-// RM transport scale-out (DESIGN.md "Event loop & sharding"): how the
-// per-cycle cost of the RM control loop scales with the connected-client
-// population, and what the readiness event loop and sharding buy.
+// RM transport scale-out (DESIGN.md "Event loop"): how the per-cycle cost
+// and the activation round-trip of one RmServer scale with the
+// connected-client population and the MMKP's size.
 //
 // Three measurements:
 //
@@ -13,17 +13,14 @@
 //
 //  - roundtrip: 64 registered apps resubmit operating points under a large
 //    idle population; the bench times burst → every app holds its fresh
-//    activation, one event-loop server vs 4 threaded λ-drift shards. 64
-//    apps cannot each get one of raptor-lake's 24 cores, so every solve
-//    falls back to co-allocation: these rows time the I/O walk, not the
-//    MMKP.
+//    activation. 64 apps cannot each get one of raptor-lake's 24 cores, so
+//    every solve falls back to co-allocation: this row times the I/O walk,
+//    not the MMKP.
 //
 //  - crowd: rmbench crowd's instance (1024 apps × 32 candidates × 3 types
 //    on 3×3840 cores); each burst moves two apps' dominant points, and the
-//    bench times burst → both hold their fresh activation. One server vs 4
-//    λ-drift shards, lockstep and threaded. Shards split the MMKP into
-//    per-shard budgets, which changes decisions, so each row also sums the
-//    declared power of the points the apps hold at the end.
+//    bench times burst → both hold their fresh activation. The row also
+//    sums the declared power of the points the apps hold at the end.
 //
 // Round-trips report p50/p99 over all bursts. Writes BENCH_rm_scale.json
 // (schema: bench_json.hpp).
@@ -33,7 +30,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,7 +39,6 @@
 #include "bench/bench_json.hpp"
 #include "src/common/rng.hpp"
 #include "src/harp/rm_server.hpp"
-#include "src/harp/rm_shard.hpp"
 #include "src/ipc/transport.hpp"
 #include "src/platform/hardware.hpp"
 
@@ -221,19 +216,17 @@ bool take_activation(ipc::Channel& end, ipc::ActivateMsg& last) {
   }
 }
 
-/// Runs the server side (`drive`, once per spin; a no-op for threaded
-/// shards) until every end in `watch` has received an activation, or 30 s
+/// Polls `rm` until every end in `watch` has received an activation, or 30 s
 /// passed. Returns the seconds since `t0`.
-template <typename Drive>
-double await_activations(std::vector<std::unique_ptr<ipc::Channel>>& ends,
+double await_activations(core::RmServer& rm, std::vector<std::unique_ptr<ipc::Channel>>& ends,
                          const std::vector<std::size_t>& watch,
                          std::vector<ipc::ActivateMsg>& last,
-                         std::chrono::steady_clock::time_point t0, double& now, Drive drive) {
+                         std::chrono::steady_clock::time_point t0, double& now) {
   std::vector<bool> activated(watch.size(), false);
   std::size_t remaining = watch.size();
   while (remaining > 0 && seconds_since(t0) < 30.0) {
     now += 0.01;
-    drive(now);
+    rm.poll(now);
     for (std::size_t k = 0; k < watch.size(); ++k) {
       if (!activated[k] && take_activation(*ends[watch[k]], last[watch[k]])) {
         activated[k] = true;
@@ -246,9 +239,9 @@ double await_activations(std::vector<std::unique_ptr<ipc::Channel>>& ends,
 
 /// Burst → all-activated round-trip against `registered` point-submitting
 /// apps on top of idle silent clients; one sample per burst.
-template <typename Drive>
-std::vector<double> roundtrip_bench(std::vector<std::unique_ptr<ipc::Channel>>& registered_ends,
-                                    int bursts, Drive drive) {
+std::vector<double> roundtrip_bench(core::RmServer& rm,
+                                    std::vector<std::unique_ptr<ipc::Channel>>& registered_ends,
+                                    int bursts) {
   platform::HardwareDescription hw = platform::raptor_lake();
   std::vector<std::size_t> all(registered_ends.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
@@ -267,7 +260,7 @@ std::vector<double> roundtrip_bench(std::vector<std::unique_ptr<ipc::Channel>>& 
       (void)take_activation(*registered_ends[i], last[i]);
     auto t0 = std::chrono::steady_clock::now();
     for (const auto& end : registered_ends) (void)end->send(ipc::Message(msg));
-    samples.push_back(await_activations(registered_ends, all, last, t0, now, drive));
+    samples.push_back(await_activations(rm, registered_ends, all, last, t0, now));
   }
   return samples;
 }
@@ -288,8 +281,7 @@ json::Object roundtrip_row(const char* mode, const char* server,
   return row;
 }
 
-void register_apps(std::vector<std::unique_ptr<ipc::Channel>>& ends,
-                   const std::function<void(std::unique_ptr<ipc::Channel>)>& adopt,
+void register_apps(core::RmServer& rm, std::vector<std::unique_ptr<ipc::Channel>>& ends,
                    int count) {
   for (int i = 0; i < count; ++i) {
     auto [rm_end, app_end] = ipc::make_in_process_pair();
@@ -297,16 +289,16 @@ void register_apps(std::vector<std::unique_ptr<ipc::Channel>>& ends,
     reg.pid = 1000 + i;
     reg.app_name = "scale_" + std::to_string(i);
     (void)app_end->send(ipc::Message(reg));
-    adopt(std::move(rm_end));
+    rm.adopt_channel(std::move(rm_end));
     ends.push_back(std::move(app_end));
   }
 }
 
-void adopt_idle(const std::function<void(std::unique_ptr<ipc::Channel>)>& adopt,
-                std::vector<std::unique_ptr<ipc::Channel>>& keepalive, int count) {
+void adopt_idle(core::RmServer& rm, std::vector<std::unique_ptr<ipc::Channel>>& keepalive,
+                int count) {
   for (int i = 0; i < count; ++i) {
     auto [rm_end, app_end] = ipc::make_in_process_pair();
-    adopt(std::move(rm_end));
+    rm.adopt_channel(std::move(rm_end));
     keepalive.push_back(std::move(app_end));  // closing would force drop work
   }
 }
@@ -372,15 +364,14 @@ std::vector<CrowdTable> crowd_tables(const platform::HardwareDescription& hw) {
 /// The crowd against one server: every app registers with its table, then
 /// each burst moves two apps' dominant points the way rmbench crowd does (a
 /// new candidate becomes the cheapest, the old one expensive). Bursts come
-/// from a fixed seed, so every server sees the same sequence.
+/// from a fixed seed, so every run sees the same sequence.
 class CrowdRun {
  public:
   explicit CrowdRun(std::vector<CrowdTable> tables)
       : tables_(std::move(tables)), last_(tables_.size()) {}
 
   /// Register every app, then run the server until each holds a grant.
-  template <typename Drive>
-  void join(const std::function<void(std::unique_ptr<ipc::Channel>)>& adopt, Drive drive) {
+  void join(core::RmServer& rm) {
     std::vector<std::size_t> all(tables_.size());
     for (std::size_t i = 0; i < tables_.size(); ++i) {
       auto [rm_end, app_end] = ipc::make_in_process_pair();
@@ -391,23 +382,20 @@ class CrowdRun {
       table.points = tables_[i].points;
       (void)app_end->send(ipc::Message(reg));
       (void)app_end->send(ipc::Message(table));
-      adopt(std::move(rm_end));
+      rm.adopt_channel(std::move(rm_end));
       ends_.push_back(std::move(app_end));
       all[i] = i;
     }
-    (void)await_activations(ends_, all, last_, std::chrono::steady_clock::now(), now_, drive);
+    (void)await_activations(rm, ends_, all, last_, std::chrono::steady_clock::now(), now_);
   }
 
-  /// `drive(now)` runs the server side once per spin; `between(now)` runs
-  /// once before each burst.
-  template <typename Drive, typename Between>
-  std::vector<double> bursts(int count, Drive drive, Between between) {
+  /// `count` bursts against `rm`, one round-trip sample each.
+  std::vector<double> bursts(core::RmServer& rm, int count) {
     Rng rng(0xB0B5ull);
     std::vector<double> samples;
     std::vector<std::size_t> moved(2);
     std::vector<ipc::Message> messages;
     for (int burst = 0; burst < count; ++burst) {
-      between(now_);
       moved[0] = static_cast<std::size_t>(rng.uniform_int(0, kCrowdApps - 1));
       moved[1] = static_cast<std::size_t>(rng.uniform_int(0, kCrowdApps - 1));
       if (moved[1] == moved[0]) moved[1] = (moved[1] + 1) % kCrowdApps;
@@ -428,7 +416,7 @@ class CrowdRun {
       }
       auto t0 = std::chrono::steady_clock::now();
       for (std::size_t k = 0; k < moved.size(); ++k) (void)ends_[moved[k]]->send(messages[k]);
-      samples.push_back(await_activations(ends_, moved, last_, t0, now_, drive));
+      samples.push_back(await_activations(rm, ends_, moved, last_, t0, now_));
       // Off the clock: the other apps' activations from the same cycles.
       for (std::size_t i = 0; i < ends_.size(); ++i) (void)take_activation(*ends_[i], last_[i]);
     }
@@ -534,65 +522,27 @@ int main(int argc, char** argv) {
     core::RmServerOptions options;
     options.lease_seconds = 0;
     core::RmServer rm(hw, options);
-    auto adopt = std::function<void(std::unique_ptr<ipc::Channel>)>(
-        [&rm](std::unique_ptr<ipc::Channel> c) { rm.adopt_channel(std::move(c)); });
     std::vector<std::unique_ptr<ipc::Channel>> registered_ends, keepalive;
-    register_apps(registered_ends, adopt, registered);
-    adopt_idle(adopt, keepalive, idle);
+    register_apps(rm, registered_ends, registered);
+    adopt_idle(rm, keepalive, idle);
     rm.poll(0.5);
-    idle_row("single",
-             roundtrip_bench(registered_ends, bursts, [&rm](double now) { rm.poll(now); }));
-  }
-  {
-    core::ShardedRmOptions options;
-    options.num_shards = 4;
-    options.server.lease_seconds = 0;
-    core::ShardedRmServer rm(hw, options);
-    rm.start_threads();
-    auto adopt = std::function<void(std::unique_ptr<ipc::Channel>)>(
-        [&rm](std::unique_ptr<ipc::Channel> c) { rm.adopt_channel(std::move(c)); });
-    std::vector<std::unique_ptr<ipc::Channel>> registered_ends, keepalive;
-    register_apps(registered_ends, adopt, registered);
-    adopt_idle(adopt, keepalive, idle);
-    std::vector<double> samples = roundtrip_bench(registered_ends, bursts, [](double) {});
-    rm.stop_threads();
-    idle_row("sharded4_threaded", samples);
+    idle_row("single", roundtrip_bench(rm, registered_ends, bursts));
   }
 
   // Crowd round-trip: the MMKP at rmbench crowd's size, two moves per burst.
   const platform::HardwareDescription crowd = crowd_hw();
-  const std::vector<CrowdTable> tables = crowd_tables(crowd);
   std::printf("\n== Crowd round-trip, %d apps x %d candidates x %d types, %d cores/type ==\n",
               kCrowdApps, kCrowdCandidates, kCrowdTypes, kCrowdCores);
   std::printf("%-24s %10s %10s %12s %12s\n", "server", "p50[ms]", "p99[ms]", "power[W]",
               "coallocated");
-  auto no_op = [](double) {};
   {
     core::RmServerOptions options;
     options.lease_seconds = 0;
     core::RmServer rm(crowd, options);
-    auto poll = [&rm](double now) { rm.poll(now); };
-    CrowdRun run(tables);
-    run.join([&rm](std::unique_ptr<ipc::Channel> c) { rm.adopt_channel(std::move(c)); }, poll);
-    std::vector<double> samples = run.bursts(crowd_bursts, poll, no_op);
+    CrowdRun run(crowd_tables(crowd));
+    run.join(rm);
+    std::vector<double> samples = run.bursts(rm, crowd_bursts);
     rows.push_back(json::Value(run.row("single", samples)));
-  }
-  for (bool threaded : {false, true}) {
-    core::ShardedRmOptions options;
-    options.num_shards = 4;
-    options.server.lease_seconds = 0;
-    core::ShardedRmServer rm(crowd, options);
-    auto poll = [&rm](double now) { rm.poll(now); };
-    if (threaded) rm.start_threads();
-    CrowdRun run(tables);
-    run.join([&rm](std::unique_ptr<ipc::Channel> c) { rm.adopt_channel(std::move(c)); }, poll);
-    // Threaded shards cycle on their own; poll() then only accepts and
-    // checks λ drift, once per burst.
-    std::vector<double> samples =
-        threaded ? run.bursts(crowd_bursts, no_op, poll) : run.bursts(crowd_bursts, poll, no_op);
-    rm.stop_threads();
-    rows.push_back(
-        json::Value(run.row(threaded ? "lambda_drift4_threaded" : "lambda_drift4", samples)));
   }
 
   if (!bench::write_bench_file(out_path, "rm_scale", std::move(rows))) return 1;

@@ -1,8 +1,8 @@
 // One RM decision cycle (Fig. 2: tables → MMKP → core assignment), shared by
-// both callers that run it: RmServer (clients over the wire, one per shard
-// when sharded) and HarpPolicy (apps in the simulator). The session is the
-// seam between cached per-application choice groups and the runtime
-// selection step (DESIGN.md "Hot path & incrementality"):
+// both callers that run it: RmServer (clients over the wire) and HarpPolicy
+// (apps in the simulator). The session is the seam between cached
+// per-application choice groups and the runtime selection step (DESIGN.md
+// "Hot path & incrementality"):
 //
 //   1. refresh() — the one cache-validity check: an app's group is rebuilt
 //      only when its table's version (or key) moved since the last build.
@@ -86,11 +86,9 @@ class AllocationSession {
   void end();
 
   /// Forget the last solve, so the next one runs in full. Needed when the
-  /// allocator changes (a new core budget) under unchanged groups.
+  /// session is handed a new allocator under unchanged groups, as
+  /// HarpPolicy::attach does.
   void invalidate();
-
-  /// λ multipliers of the last Lagrangian solve (empty before the first).
-  const std::vector<double>& multipliers() const { return ws_.multipliers(); }
 
  private:
   telemetry::Tracer* tracer_;

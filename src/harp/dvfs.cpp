@@ -26,7 +26,7 @@ DvfsHarpPolicy::~DvfsHarpPolicy() = default;
 
 void DvfsHarpPolicy::attach(sim::RunnerApi& api) {
   api_ = &api;
-  allocator_ = std::make_unique<Allocator>(api.hardware(), options_.solver);
+  allocator_ = std::make_unique<Allocator>(api.hardware(), SolverKind::kLagrangian);
 }
 
 void DvfsHarpPolicy::on_app_start(sim::AppId id) {

@@ -27,7 +27,6 @@ struct DvfsOptions {
   /// Frequency levels explored per allocation (fractions of the calibrated
   /// maximum). Must be in (0, 1], descending, and contain 1.0.
   std::vector<double> freq_levels{1.0, 0.85, 0.70};
-  SolverKind solver = SolverKind::kLagrangian;
   /// Same libharp-hook drag model as HarpPolicy (§6.6).
   double drag_base = 0.006;
   double drag_per_extra_app = 0.010;

@@ -67,7 +67,8 @@ void HarpPolicy::attach(sim::RunnerApi& api) {
                                                       options_.exploration.regression_degree);
   explorer_ = std::make_unique<AppExplorer>(api.hardware(), options_.exploration, catalog_);
   attributor_ = std::make_unique<energy::EnergyAttributor>(api.hardware());
-  allocator_ = std::make_unique<Allocator>(api.hardware(), options_.solver, options_.tracer);
+  allocator_ =
+      std::make_unique<Allocator>(api.hardware(), SolverKind::kLagrangian, options_.tracer);
   session_.invalidate();
   unassigned_cores_.assign(api.hardware().core_types.size(), 0);
   next_measurement_time_ = options_.exploration.measurement_interval_s;

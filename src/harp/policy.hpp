@@ -49,7 +49,6 @@ struct HarpOptions {
   bool phase_aware = false;
 
   ExplorationConfig exploration;
-  SolverKind solver = SolverKind::kLagrangian;
 
   /// Pre-existing application profiles, keyed by application name: DSE
   /// tables in offline mode, or previously *learned* tables in online mode

@@ -149,7 +149,7 @@ RmServer::RmServer(platform::HardwareDescription hw, RmServerOptions options)
     : loop_(std::make_shared<ipc::EventLoop>()),
       hw_(std::move(hw)),
       options_(options),
-      allocator_(hw_, options.solver, options.tracer),
+      allocator_(hw_, SolverKind::kLagrangian, options.tracer),
       session_(options.tracer, options.metrics) {
   if (options_.metrics != nullptr) {
     reallocs_counter_ = &options_.metrics->counter("rm_reallocs_total");
@@ -541,13 +541,9 @@ void RmServer::send_activation_locked(Client& client, const OperatingPoint& poin
   ipc::ActivateMsg activate;
   activate.erv = point.erv;
   for (std::size_t t = 0; t < cores.cores.size(); ++t) {
-    for (const auto& [core, threads] : cores.cores[t]) {
-      // Budgeted servers solve in local core ids; translate to platform ids.
-      int platform_core =
-          owned_cores_.empty() ? core : owned_cores_[t][static_cast<std::size_t>(core)];
+    for (const auto& [core, threads] : cores.cores[t])
       activate.cores.push_back(
-          ipc::ActivateMsg::CoreGrant{static_cast<std::int32_t>(t), platform_core, threads});
-    }
+          ipc::ActivateMsg::CoreGrant{static_cast<std::int32_t>(t), core, threads});
   }
   bool scalable = client.adaptivity != ipc::WireAdaptivity::kStatic;
   activate.parallelism = scalable ? point.erv.total_threads() : 0;
@@ -576,27 +572,6 @@ void RmServer::send_coallocation_locked(Client& client) {
   client.activation_sent = true;
   // harp-lint: allow(r12 channel sends are nonblocking: partial frames buffer and drain via the loop)
   (void)client.channel->send(ipc::Message(activate));
-}
-
-void RmServer::set_core_budget(std::vector<std::vector<int>> owned_cores) {
-  MutexLock lock(mutex_);
-  if (!owned_cores.empty())
-    HARP_CHECK(owned_cores.size() == hw_.core_types.size());
-  owned_cores_ = std::move(owned_cores);
-  platform::HardwareDescription budget_hw = hw_;
-  if (!owned_cores_.empty())
-    for (std::size_t t = 0; t < budget_hw.core_types.size(); ++t)
-      budget_hw.core_types[t].core_count = static_cast<int>(owned_cores_[t].size());
-  allocator_ = Allocator(budget_hw, options_.solver, options_.tracer);
-  // The last result holds core ids of the old budget: unchanged groups must
-  // still be solved, in full, against the new one.
-  session_.invalidate();
-  needs_realloc_ = true;
-}
-
-std::vector<double> RmServer::last_multipliers() const {
-  MutexLock lock(mutex_);
-  return session_.multipliers();
 }
 
 void RmServer::reallocate() {

@@ -8,22 +8,18 @@
 // pushes operating-point activations with concrete spatially isolated core
 // grants, and polls utility feedback from applications that provide it.
 //
-// I/O is readiness-driven (DESIGN.md "Event loop & sharding"): an
-// ipc::EventLoop owns every client fd, so a poll() cycle drains only the
-// clients with work instead of issuing one recv(2) per connected client.
-// In-process channels participate through ready hooks that set a per-client
-// atomic flag and nudge the loop's wakeup pipe. If event-loop construction
-// fails (fd exhaustion), listen() reports it and the server takes no socket
-// clients.
+// I/O is readiness-driven (DESIGN.md "Event loop"): an ipc::EventLoop owns
+// every client fd, so a poll() cycle drains only the clients with work
+// instead of issuing one recv(2) per connected client. In-process channels
+// participate through ready hooks that set a per-client atomic flag and
+// nudge the loop's wakeup pipe. If event-loop construction fails (fd
+// exhaustion), listen() reports it and the server takes no socket clients.
+// One RmServer manages the whole machine; harpd drives it from one thread
+// with the blocking poll(now, timeout) and stops it with wakeup().
 //
 // Every reallocation runs through an AllocationSession
 // (allocation_session.hpp): the same decision cycle HarpPolicy runs, keyed
 // by app_id.
-//
-// For multi-RM scale-out the server also exposes a core budget
-// (set_core_budget / last_multipliers): a ShardedRmServer (rm_shard.hpp)
-// runs N RmServers over disjoint client sets, gives each a disjoint slice of
-// the cores, and moves cores between them on λ drift.
 //
 // Unlike HarpPolicy (the simulator-embedded RM used in the evaluation
 // benches), RmServer manages real client processes; it has no telemetry of
@@ -51,7 +47,6 @@
 namespace harp::core {
 
 struct RmServerOptions {
-  SolverKind solver = SolverKind::kLagrangian;
   /// Seconds between utility-feedback requests (§4.1.1 step 4).
   double utility_poll_interval_s = 1.0;
   /// Client lease: a client silent for longer than this is evicted and its
@@ -111,27 +106,14 @@ class RmServer {
   /// `now_seconds` is the caller's clock (monotonic); drives utility polls.
   void poll(double now_seconds);
 
-  /// Blocking variant for dedicated threads (harpd, shard threads): waits up
-  /// to `timeout_ms` (-1 = indefinitely) for readiness before running the
+  /// Blocking variant for a dedicated thread (harpd): waits up to
+  /// `timeout_ms` (-1 = indefinitely) for readiness before running the
   /// cycle. Returns immediately when wakeup() or readiness arrives.
   void poll(double now_seconds, int timeout_ms);
 
   /// Nudge a poll(now, timeout) blocked on the event loop (cross-thread
   /// adoption, shutdown). Thread-safe.
   void wakeup();
-
-  // Sharding surface (used by ShardedRmServer; see rm_shard.hpp). ------
-
-  /// Restrict this server to a disjoint slice of the platform: one vector of
-  /// owned physical core ids per core type. The internal allocator is
-  /// rebuilt with the slice's capacities and solves in local core ids, which
-  /// grants translate back through the slice. An empty outer vector restores
-  /// full-platform operation.
-  void set_core_budget(std::vector<std::vector<int>> owned_cores);
-
-  /// λ multipliers from the last Lagrangian solve (empty before the first
-  /// solve); the coordinator's rebalance signal.
-  std::vector<double> last_multipliers() const;
 
   // Read-only accessors. ------------------------------------------------
 
@@ -201,9 +183,6 @@ class RmServer {
   /// Clients adopted since the last cycle, awaiting their lease-clock start
   /// (adoption has no clock; poll() provides one).
   std::vector<Client*> lease_init_pending_ HARP_GUARDED_BY(mutex_);
-  /// Owned physical core ids per type when budgeted (see set_core_budget);
-  /// empty = the full platform.
-  std::vector<std::vector<int>> owned_cores_ HARP_GUARDED_BY(mutex_);
   std::int32_t next_app_id_ HARP_GUARDED_BY(mutex_) = 1;
   bool needs_realloc_ HARP_GUARDED_BY(mutex_) = false;
   double last_utility_poll_ HARP_GUARDED_BY(mutex_) = 0.0;

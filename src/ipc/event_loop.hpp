@@ -1,5 +1,4 @@
-// Readiness event loop for the RM transport (DESIGN.md "Event loop &
-// sharding").
+// Readiness event loop for the RM transport (DESIGN.md "Event loop").
 //
 // One EventLoop owns the kernel-side interest set for every fd a server
 // watches — the listen socket plus all client connections — and turns the
@@ -109,9 +108,10 @@ class EventLoop {
   std::atomic<bool> wake_armed_{false};
 
   /// Interest set. Guarded so cross-thread add/remove during a blocked
-  /// wait() (channel adoption into a running shard) cannot tear the map; the
-  /// kernel wait itself runs outside the lock, and mutators wakeup() the
-  /// loop so a blocked poll-backend wait rebuilds its snapshot promptly.
+  /// wait() (a listen() or channel adoption while the RM's thread blocks in
+  /// poll) cannot tear the map; the kernel wait itself runs outside the
+  /// lock, and mutators wakeup() the loop so a blocked poll-backend wait
+  /// rebuilds its snapshot promptly.
   mutable Mutex mutex_;
   std::map<int, std::uint32_t> interest_ HARP_GUARDED_BY(mutex_);
   std::uint64_t interest_version_ HARP_GUARDED_BY(mutex_) = 0;

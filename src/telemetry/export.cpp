@@ -93,8 +93,6 @@ const char* category(EventType type) {
     case EventType::kLease:
     case EventType::kRegistration: return "client";
     case EventType::kQosRequest: return "qos";
-    case EventType::kShardCycle:
-    case EventType::kRebalance: return "shard";
   }
   return "?";
 }

@@ -41,8 +41,6 @@ enum class EventType : std::uint8_t {
   kRegistration,       ///< instant: app registered with the RM
   kDseSweep,           ///< span: offline design-space exploration sweep
   kQosRequest,         ///< instant: one QoS request completed (deadline accounting)
-  kShardCycle,         ///< span: one RM shard's poll cycle (sharded scale-out)
-  kRebalance,          ///< instant: coordinator moved a core between shards
 };
 
 /// All event types, for exporters and parsers.
@@ -52,7 +50,6 @@ inline constexpr EventType kAllEventTypes[] = {
     EventType::kIpcSend,      EventType::kIpcRecv,        EventType::kFaultInjected,
     EventType::kReconnect,    EventType::kLinkDown,       EventType::kLease,
     EventType::kRegistration, EventType::kDseSweep,    EventType::kQosRequest,
-    EventType::kShardCycle,   EventType::kRebalance,
 };
 
 const char* to_string(EventType type);

@@ -702,6 +702,12 @@ TEST(TelemetryCounters, ScriptedDropsMatchDroppedFramesCounter) {
   for (const telemetry::TraceEvent& event : world.tracer().events())
     if (event.type == telemetry::EventType::kFaultInjected) ++fault_events;
   EXPECT_EQ(fault_events, 3u);
+
+  // The RM's event-loop counters, which rmbench reads: one cycle per step,
+  // and no ready fd, since every channel here is in-process.
+  EXPECT_EQ(world.metrics().counter_value("rm_eventloop_cycles_total"), 60u);
+  EXPECT_NE(world.metrics().text_snapshot().find("counter rm_eventloop_ready_fds 0\n"),
+            std::string::npos);
 }
 
 // Satellite criterion: every scripted RM outage causes exactly one reconnect

@@ -1,8 +1,13 @@
 // Integration tests for libharp + the RM daemon: the full Fig. 3 control
-// flow over the in-process transport (deterministic) and real sockets.
+// flow over the in-process transport and real sockets, with the RM on its own
+// thread in harpd's loop. Also registered under the `race` ctest label, so
+// the HARP_RACE_CHECK / TSan CI job runs the whole suite.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <memory>
 #include <thread>
 
 #include "src/harp/dse.hpp"
@@ -15,20 +20,30 @@ namespace harp {
 namespace {
 
 /// Drives an RmServer from a helper thread so blocking client calls (the
-/// registration handshake) can complete in a single-process test.
+/// registration handshake) can complete in a single-process test. The thread
+/// runs harpd's loop (tools/harpd.cpp): it blocks in poll(now, timeout) until
+/// readiness or the next utility tick, and stops on a flag plus wakeup(). So
+/// the tests adopt channels and listen() while the RM blocks, and an unseen
+/// wakeup stalls the RM until its next tick, past the tests' waits.
 class RmHarness {
  public:
   explicit RmHarness(platform::HardwareDescription hw) : rm_(std::move(hw)) {
     thread_ = std::thread([this] {
+      const double tick_s = core::RmServerOptions{}.utility_poll_interval_s;
+      double next_tick = tick_s;
       auto t0 = std::chrono::steady_clock::now();
       while (!stop_.load()) {
-        rm_.poll(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        double now =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+        bool tick = now >= next_tick;
+        rm_.poll(now, tick ? 0 : static_cast<int>(std::ceil((next_tick - now) * 1e3)));
+        if (tick) next_tick = now + tick_s;
       }
     });
   }
   ~RmHarness() {
     stop_ = true;
+    rm_.wakeup();
     thread_.join();
   }
   core::RmServer& rm() { return rm_; }
@@ -252,6 +267,17 @@ TEST(LibharpClient, DestructorSurvivesUnregisteredHalfOpenLink) {
   client.reset();
   double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   EXPECT_LT(elapsed, 0.5);
+}
+
+TEST(RmServer, BlockedPollStopsOnWakeup) {
+  // harpd's shutdown: the stop flag plus wakeup() must end a poll that is
+  // blocked until the next utility tick (1 s away) at once.
+  auto harness = std::make_unique<RmHarness>(platform::raptor_lake());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let the RM block
+  auto t0 = std::chrono::steady_clock::now();
+  harness.reset();
+  double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(elapsed, 0.5) << "the blocked poll did not see the shutdown wakeup";
 }
 
 TEST(RmServer, FullStackOverUnixSocket) {

@@ -247,10 +247,9 @@ TEST(LintFixtures, R6HotPathAllocations) {
 }
 
 TEST(LintFixtures, R6EventLoopHotPaths) {
-  // Fixtures shaped like the event-loop dispatch and shard-cycle loops
-  // (src/ipc/event_loop.cpp and src/harp/rm_shard.cpp are hot-path
-  // annotated): per-cycle readiness/snapshot buffers and per-shard scope
-  // strings must be hoisted.
+  // Fixtures shaped like the event-loop dispatch loop (src/ipc/event_loop.cpp
+  // is hot-path annotated) and a per-shard cycle loop: per-cycle
+  // readiness/snapshot buffers and per-shard scope strings must be hoisted.
   expect_exact({fixture("r6_eventloop_bad.cpp"), fixture("r6_eventloop_good.cpp")}, {"r6"});
 }
 
