@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "src/harp/dse.hpp"
@@ -110,11 +111,26 @@ TEST(LibharpClient, ReceivesActivationAfterSubmittingPoints) {
   core::OperatingPointTable table = core::run_offline_dse(catalog.app("mg.C"), hw);
   ASSERT_TRUE(client->submit_operating_points(table_points(table)).ok());
 
-  for (int i = 0; i < 500 && !client->current_activation().has_value(); ++i) {
+  // Wait for the answer to the points, not for the fair-share grant sent at
+  // registration: the RM holds one of the submitted points (its utility and
+  // power, not the fair-share estimate) and the client holds its ERV. A
+  // blocked RM that missed the points' wakeup would answer only at its next
+  // utility tick, 1 s later.
+  auto answered = [&] {
+    std::optional<core::OperatingPoint> held = harness.rm().current_point("mg.C");
+    std::optional<client::Activation> activation = client->current_activation();
+    if (!held.has_value() || !activation.has_value() || !(activation->erv == held->erv))
+      return false;
+    for (const core::OperatingPoint& p : table.points(0))
+      if (p.erv == held->erv)
+        return p.nfc.utility == held->nfc.utility && p.nfc.power_w == held->nfc.power_w;
+    return false;
+  };
+  for (int i = 0; i < 500 && !answered(); ++i) {
     (void)client->poll();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(client->current_activation().has_value());
+  ASSERT_TRUE(answered());
   client::Activation activation = *client->current_activation();
   EXPECT_GT(activation.parallelism, 0);
   EXPECT_FALSE(activation.cores.empty());
